@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .core import (
     Allocation,
-    Bundle,
     Instance,
     IterationBoundError,
     iter_mask,
@@ -60,9 +59,6 @@ class MatchState:
     matches: tuple[int | None, ...]
     alpha: Fraction
     trace: tuple[MatchStep, ...]
-
-    def z_bundles(self) -> tuple[Bundle, ...]:
-        return tuple(Bundle(mask) for mask in self.z_masks)
 
     def matched_allocation(self, m: int) -> Allocation:
         assert all(j is not None for j in self.matches)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -20,7 +21,6 @@ from fractions import Fraction
 
 from .core import (
     Allocation,
-    Bundle,
     CapacityError,
     Caps,
     Instance,
@@ -29,7 +29,6 @@ from .core import (
     caps_from_env,
     check_class,
     format_ratio,
-    full_mask,
     iter_mask,
     mask_of,
     nash_product,
@@ -37,14 +36,9 @@ from .core import (
 )
 from . import additive_alg, completion, instances, oracle, subadditive_alg, verify
 
-ALGORITHMS = (
-    "additive",
-    "additive-complete",
-    "additive-poly",
-    "subadditive",
-    "subadditive-complete",
-)
-SOLVE_ALGS = ("additive", "subadditive", "additive-poly")
+ALGORITHMS = ("additive", "additive-complete", "additive-poly",
+              "subadditive", "subadditive-complete")
+SOLVE_ALGS = completion.ALGORITHMS
 CHECK_NAMES = ("efx", "ef1", "mnw", "separated", "mms", "pmms", "gmms")
 
 EXIT_OK = 0
@@ -203,103 +197,45 @@ def _solve_trace_json(state) -> list[dict]:
 
 
 def _cmd_solve(args) -> int:
+    if args.alg != "additive-poly" and (args.x0 is not None or args.beta is not None):
+        raise MalformedInstanceError("--x0 and --beta apply to --alg additive-poly only")
     caps = _effective_caps(args)
     instance = instances.load_instance(args.instance, caps)
     alpha = parse_ratio(args.alpha)
+    start = None
+    if args.x0 is not None:
+        start = _load_allocation(args.x0, instance)
+        if not start.complete:
+            raise MalformedInstanceError("--x0 must be a complete allocation")
+    beta = parse_ratio(args.beta) if args.beta is not None else Fraction(1)
+    result = completion.run(args.alg, instance, alpha, args.complete, caps, start=start, beta=beta)
+
+    final = result.allocation
     data: dict = {"algorithm": args.alg, "alpha": format_ratio(alpha), "complete": bool(args.complete)}
-    reports: list[verify.GuaranteeReport] = []
-    trace_state = None
-    events: tuple = ()
-
-    if args.alg == "additive":
-        if args.complete:
-            result = completion.pipeline_additive(instance, alpha, caps)
-            final = result.allocation
-            trace_state = result.state
-            data["optimal_product"] = format_ratio(result.mnw.product)
+    if result.restart is not None:
+        data["rounds"] = result.restart.rounds
+        data["branches"] = list(result.restart.branches)
+        data["start_product"] = format_ratio(result.start_product)
+    else:
+        data["optimal_product"] = format_ratio(result.mnw.product)
+    if args.complete:
+        if result.restart is None:
             data["partial"] = _allocation_json(result.partial)
-            events = result.events
-            if args.verify_all:
-                reports = list(result.reports)
         else:
-            mnw = oracle.exact_mnw(instance, caps)
-            final, trace_state = additive_alg.efx_matching(instance, mnw.allocation, alpha)
-            data["optimal_product"] = format_ratio(mnw.product)
-            if args.verify_all:
-                reports = [
-                    verify.is_alpha_efx(instance, final, alpha),
-                    verify.is_beta_mnw(instance, final, 1 / (alpha + 1), mnw.product),
-                    verify.is_gamma_separated(instance, final, alpha),
-                ]
-    elif args.alg == "subadditive":
-        if args.complete:
-            result = completion.pipeline_subadditive(instance, alpha, caps)
-            final = result.allocation
-            trace_state = result.state
-            data["optimal_product"] = format_ratio(result.mnw.product)
-            data["partial"] = _allocation_json(result.partial)
+            data["efx_level"] = format_ratio(result.reports[0].params["alpha"])
+        if args.alg != "additive":
             data["swaps"] = [list(s) for s in result.swaps]
-            events = result.events
-            if args.verify_all:
-                reports = list(result.reports)
-        else:
-            mnw = oracle.exact_mnw(instance, caps)
-            final, trace_state = subadditive_alg.efx_matching(instance, mnw.allocation, alpha)
-            data["optimal_product"] = format_ratio(mnw.product)
-            if args.verify_all:
-                reports = [
-                    verify.is_alpha_efx(instance, final, alpha),
-                    verify.is_beta_mnw(instance, final, 1 / (alpha + 1), mnw.product),
-                ]
-    else:  # additive-poly
-        if args.x0 is not None:
-            start = _load_allocation(args.x0, instance)
-            if not start.complete:
-                raise MalformedInstanceError("--x0 must be a complete allocation")
-        else:
-            start = oracle.exact_mnw(instance, caps).allocation
-        beta = parse_ratio(args.beta) if args.beta is not None else Fraction(1)
-        result = additive_alg.matching_with_restarts(instance, start, alpha, beta)
-        final = result.allocation
-        trace_state = result.state
-        start_product = nash_product(instance, start)
-        data["rounds"] = result.rounds
-        data["branches"] = list(result.branches)
-        data["start_product"] = format_ratio(start_product)
-        efx_level = alpha
-        if args.complete:
-            pool_mask = full_mask(instance.m) & ~final.union_mask
-            swapped = completion.singleton_swaps(instance, final, Bundle(pool_mask))
-            completed = completion.envy_cycles(
-                instance, swapped.allocation, swapped.unallocated
-            )
-            data["swaps"] = [list(s) for s in swapped.swaps]
-            events = completed.events
-            final = completed.allocation
-            efx_level = min(alpha, Fraction(1, 2))
-            data["efx_level"] = format_ratio(efx_level)
-        if args.verify_all:
-            reports = [
-                verify.is_alpha_efx(instance, final, efx_level),
-                verify.is_beta_mnw(instance, final, 1 / (alpha + 1), start_product),
-            ]
-
     data["allocation"] = _allocation_json(final)
     data["unallocated"] = sorted(final.unallocated().items())
     data["achieved_product"] = format_ratio(nash_product(instance, final))
     if args.verify_all:
-        data["reports"] = [report.to_json_dict() for report in reports]
-        data["ok"] = all(report.passed for report in reports)
+        data["reports"] = [report.to_json_dict() for report in result.reports]
+        data["ok"] = result.ok
     if args.trace is not None:
-        trace_data = {
-            "steps": _solve_trace_json(trace_state) if trace_state is not None else [],
-            "events": [list(event) for event in events],
-        }
-        _emit(trace_data, args.trace)
+        events = [list(event) for event in result.events]
+        _emit({"steps": _solve_trace_json(result.state), "events": events}, args.trace)
     _emit(data, args.out)
-    if args.verify_all and not all(report.passed for report in reports):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return EXIT_VIOLATION if args.verify_all and not result.ok else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -401,51 +337,26 @@ def _default_algorithms(instance: Instance) -> list[str]:
     return []
 
 
-def _sweep_row(instance: Instance, alpha: Fraction, algorithm: str, caps: Caps) -> dict:
-    row = {
-        "efx": "",
-        "ef1": "",
-        "mnw_bound": "",
-        "achieved_ratio": "",
-        "achieved_ratio_float": "",
-        "bound_ratio": format_ratio((1 / (alpha + 1)) ** instance.n),
-        "error": "",
-    }
+# CSV column -> the property of the run's report that fills it
+REPORT_COLUMNS = {"efx": "alpha_efx", "ef1": "ef1", "mnw_bound": "beta_mnw"}
+
+
+def _sweep_row(instance: Instance, alpha: Fraction, algorithm: str, caps: Caps, optimum) -> dict:
+    row = dict.fromkeys(SWEEP_COLUMNS, "")
+    row["bound_ratio"] = format_ratio((1 / (alpha + 1)) ** instance.n)
+    name = algorithm.removesuffix("-complete")
     try:
-        if algorithm == "additive":
-            mnw = oracle.exact_mnw(instance, caps)
-            final, _ = additive_alg.efx_matching(instance, mnw.allocation, alpha)
-            optimum = mnw.product
-        elif algorithm == "additive-complete":
-            result = completion.pipeline_additive(instance, alpha, caps)
-            final, optimum = result.allocation, result.mnw.product
-            row["ef1"] = result.reports[1].verdict
-        elif algorithm == "additive-poly":
-            mnw = oracle.exact_mnw(instance, caps)
-            outcome = additive_alg.matching_with_restarts(
-                instance, mnw.allocation, alpha, Fraction(1)
-            )
-            final, optimum = outcome.allocation, mnw.product
-        elif algorithm == "subadditive":
-            mnw = oracle.exact_mnw(instance, caps)
-            final, _ = subadditive_alg.efx_matching(instance, mnw.allocation, alpha)
-            optimum = mnw.product
-        elif algorithm == "subadditive-complete":
-            result = completion.pipeline_subadditive(instance, alpha, caps)
-            final, optimum = result.allocation, result.mnw.product
-        else:
-            raise MalformedInstanceError(f"unknown algorithm {algorithm!r}")
+        result = completion.run(name, instance, alpha, name != algorithm, caps, optimum)
     except (ValueError, MalformedInstanceError, CapacityError, IterationBoundError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    row["efx"] = verify.is_alpha_efx(instance, final, alpha).verdict
-    row["mnw_bound"] = verify.is_beta_mnw(
-        instance, final, 1 / (alpha + 1), optimum
-    ).verdict
-    achieved = nash_product(instance, final)
-    if optimum > 0:
-        ratio = achieved / optimum
+    verdicts = {report.prop: report.verdict for report in result.reports}
+    for column, prop in REPORT_COLUMNS.items():
+        row[column] = verdicts.get(prop, "")
+    optimum_product = result.mnw.product
+    if optimum_product > 0:
+        ratio = nash_product(instance, result.allocation) / optimum_product
         row["achieved_ratio"] = format_ratio(ratio)
         row["achieved_ratio_float"] = repr(float(ratio))
     return row
@@ -477,9 +388,11 @@ def _cmd_sweep(args) -> int:
     tasks = []
     for instance_id, family, instance in loaded:
         algs = algorithms if algorithms is not None else _default_algorithms(instance)
+        # solved at most once per instance, inside the first row that needs it
+        optimum = functools.cache(functools.partial(oracle.exact_mnw, instance, caps))
         for alpha in parsed_alphas:
             for algorithm in algs:
-                tasks.append((instance_id, family, instance, alpha, algorithm))
+                tasks.append((instance_id, family, instance, alpha, algorithm, optimum))
     tasks.sort(key=lambda t: (t[0], t[3], t[4]))
 
     columns = list(SWEEP_COLUMNS)
@@ -488,9 +401,9 @@ def _cmd_sweep(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for instance_id, family, instance, alpha, algorithm in tasks:
+        for instance_id, family, instance, alpha, algorithm, optimum in tasks:
             started = time.perf_counter()
-            row = _sweep_row(instance, alpha, algorithm, caps)
+            row = _sweep_row(instance, alpha, algorithm, caps, optimum)
             elapsed_ms = int((time.perf_counter() - started) * 1000)
             row.update(
                 {

@@ -6,8 +6,8 @@ EF1 and, on a separated partial allocation, the EFX level of its input.
 singleton_swaps lets any agent trade their bundle for a single leftover item
 they like better, which ends with no agent preferring any leftover item.
 
-The pipelines chain a max-product start, a matching, and completion, and
-return the fairness/efficiency reports claimed for each valuation class.
+run chains a start, a matching and an optional completion for each
+algorithm, and returns the fairness/efficiency reports the run claims.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import (
     Allocation,
@@ -24,8 +25,8 @@ from .core import (
     Instance,
     IterationBoundError,
     format_ratio,
-    full_mask,
     iter_mask,
+    nash_product,
 )
 from .oracle import MnwResult, exact_mnw
 from .verify import (
@@ -35,6 +36,7 @@ from .verify import (
     is_alpha_pmms,
     is_beta_mnw,
     is_ef1,
+    is_gamma_separated,
     within_golden_threshold,
 )
 from . import additive_alg, subadditive_alg
@@ -185,13 +187,15 @@ def singleton_swaps(
 @dataclass(frozen=True)
 class PipelineResult:
     alpha: Fraction
-    mnw: MnwResult
+    mnw: MnwResult | None   # the optimum; None when the caller gave the start
     partial: Allocation
     allocation: Allocation
     reports: tuple[GuaranteeReport, ...]
     swaps: tuple[tuple[int, int], ...]
     events: tuple[tuple, ...]
     state: object = None   # matching-stage trace holder, when kept
+    start_product: Fraction | None = None
+    restart: additive_alg.RestartResult | None = None   # additive-poly only
 
     @property
     def ok(self) -> bool:
@@ -200,7 +204,7 @@ class PipelineResult:
     def to_json_dict(self) -> dict:
         return {
             "alpha": format_ratio(self.alpha),
-            "optimal_product": format_ratio(self.mnw.product),
+            "optimal_product": None if self.mnw is None else format_ratio(self.mnw.product),
             "partial": [sorted(bundle.items()) for bundle in self.partial.bundles],
             "allocation": [sorted(bundle.items()) for bundle in self.allocation.bundles],
             "reports": [report.to_json_dict() for report in self.reports],
@@ -208,6 +212,85 @@ class PipelineResult:
             "events": [list(event) for event in self.events],
             "ok": self.ok,
         }
+
+
+ALGORITHMS = ("additive", "subadditive", "additive-poly")
+
+
+def run(
+    algorithm: str,
+    instance: Instance,
+    alpha: Fraction,
+    complete: bool,
+    caps: Caps = DEFAULT_CAPS,
+    optimum: Callable[[], MnwResult] | None = None,
+    start: Allocation | None = None,
+    beta: Fraction = Fraction(1),
+) -> PipelineResult:
+    """Start, matching, optional completion, then the claimed reports.
+
+    algorithm is one of ALGORITHMS. The start is the max-product allocation
+    from `optimum()` (default: exact_mnw), called only once the run's own
+    preconditions hold; additive-poly may instead take any complete `start`
+    whose welfare ratio is at least `beta`. Completion is envy cycles, after
+    singleton swaps except for additive. Every run claims alpha-EFX (at most
+    1/2-EFX for a completed additive-poly) and a (1/(alpha+1))**n product
+    bound against the start. additive adds gamma=alpha separation, or once
+    completed EF1, alpha/(alpha**2+1) groupwise and alpha pairwise shares;
+    completing it requires alpha**2 + alpha <= 1.
+    """
+    alpha = Fraction(alpha)
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if start is not None and algorithm != "additive-poly":
+        raise ValueError("only additive-poly runs from a given start")
+    if algorithm == "additive" and complete and not within_golden_threshold(alpha):
+        raise ValueError(
+            f"alpha={alpha} is too large: alpha**2 + alpha must be at most 1"
+        )
+    mnw = None
+    if start is None:
+        mnw = optimum() if optimum is not None else exact_mnw(instance, caps)
+        start = mnw.allocation
+    restart = None
+    if algorithm == "additive":
+        partial, state = additive_alg.efx_matching(instance, start, alpha)
+    elif algorithm == "subadditive":
+        partial, state = subadditive_alg.efx_matching(instance, start, alpha)
+    else:
+        restart = additive_alg.matching_with_restarts(instance, start, alpha, beta)
+        partial, state = restart.allocation, restart.state
+
+    final, swaps, events, efx_level = partial, (), (), alpha
+    if complete:
+        pool = partial.unallocated()
+        if algorithm != "additive":
+            swapped = singleton_swaps(instance, partial, pool)
+            final, pool, swaps = swapped.allocation, swapped.unallocated, swapped.swaps
+        completed = envy_cycles(instance, final, pool)
+        final, events = completed.allocation, completed.events
+        assert final.complete
+        if restart is not None:
+            efx_level = min(alpha, Fraction(1, 2))
+
+    start_product = nash_product(instance, start)
+    efx = is_alpha_efx(instance, final, efx_level)
+    product_bound = is_beta_mnw(instance, final, 1 / (alpha + 1), start_product)
+    if algorithm != "additive":
+        reports = (efx, product_bound)
+    elif complete:
+        reports = (
+            efx,
+            is_ef1(instance, final),
+            product_bound,
+            is_alpha_gmms(instance, final, alpha / (alpha**2 + 1), caps),
+            is_alpha_pmms(instance, final, alpha, caps),
+        )
+    else:
+        reports = (efx, product_bound, is_gamma_separated(instance, final, alpha))
+    return PipelineResult(
+        alpha, mnw, partial, final, reports, swaps, events, state, start_product, restart
+    )
 
 
 def pipeline_additive(
@@ -219,26 +302,7 @@ def pipeline_additive(
     alpha-EFX, EF1, a (1/(alpha+1))**n product bound against the optimum,
     alpha/(alpha**2+1) groupwise shares, and alpha pairwise shares.
     """
-    alpha = Fraction(alpha)
-    if not within_golden_threshold(alpha):
-        raise ValueError(
-            f"alpha={alpha} is too large: alpha**2 + alpha must be at most 1"
-        )
-    mnw = exact_mnw(instance, caps)
-    partial, state = additive_alg.efx_matching(instance, mnw.allocation, alpha)
-    completed = envy_cycles(instance, partial)
-    final = completed.allocation
-    assert final.complete
-    reports = (
-        is_alpha_efx(instance, final, alpha),
-        is_ef1(instance, final),
-        is_beta_mnw(instance, final, 1 / (alpha + 1), mnw.product),
-        is_alpha_gmms(instance, final, alpha / (alpha**2 + 1), caps),
-        is_alpha_pmms(instance, final, alpha, caps),
-    )
-    return PipelineResult(
-        alpha, mnw, partial, final, reports, (), completed.events, state
-    )
+    return run("additive", instance, alpha, True, caps)
 
 
 def pipeline_subadditive(
@@ -250,18 +314,4 @@ def pipeline_subadditive(
     The complete result is checked for alpha-EFX and a (1/(alpha+1))**n
     product bound against the optimum.
     """
-    alpha = Fraction(alpha)
-    mnw = exact_mnw(instance, caps)
-    partial, state = subadditive_alg.efx_matching(instance, mnw.allocation, alpha)
-    pool = Bundle(full_mask(instance.m) & ~partial.union_mask)
-    swapped = singleton_swaps(instance, partial, pool)
-    completed = envy_cycles(instance, swapped.allocation, swapped.unallocated)
-    final = completed.allocation
-    assert final.complete
-    reports = (
-        is_alpha_efx(instance, final, alpha),
-        is_beta_mnw(instance, final, 1 / (alpha + 1), mnw.product),
-    )
-    return PipelineResult(
-        alpha, mnw, partial, final, reports, swapped.swaps, completed.events, state
-    )
+    return run("subadditive", instance, alpha, True, caps)

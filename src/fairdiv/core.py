@@ -403,18 +403,6 @@ def nash_product(instance: Instance, allocation: Allocation) -> Fraction:
     return prod
 
 
-def positive_profile(instance: Instance, masks) -> tuple[int, Fraction]:
-    """(count of agents with positive value, product of those positive values)."""
-    count = 0
-    prod = Fraction(1)
-    for i, mask in enumerate(masks):
-        v = instance.value_mask(i, mask)
-        if v > 0:
-            count += 1
-            prod *= v
-    return count, prod
-
-
 # ---------------------------------------------------------------------------
 # class checking
 

@@ -20,7 +20,6 @@ from .core import (
     ExplicitValuation,
     Instance,
     MalformedInstanceError,
-    format_ratio,
     parse_ratio,
     ratio_or_int,
 )
@@ -320,5 +319,4 @@ __all__ = [
     "random_additive",
     "save_instance",
     "xos",
-    "format_ratio",
 ]

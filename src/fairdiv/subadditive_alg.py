@@ -326,7 +326,8 @@ def chain_cycle_decomposition(
     for a, entry in enumerate(matches):
         if entry is not None and entry[0] == WHITE:
             succ[a] = entry[1]
-            assert holder_of[entry[1]] is None, "two agents hold one bundle"
+            if holder_of[entry[1]] is not None:
+                raise ValueError("two agents hold one bundle")
             holder_of[entry[1]] = a
 
     out: list[tuple[str, tuple[int, ...]]] = []
@@ -339,7 +340,6 @@ def chain_cycle_decomposition(
         while succ[seq[-1]] is not None:
             seq.append(succ[seq[-1]])
             seen[seq[-1]] = True
-            assert len(seq) <= n
         tail = matches[seq[-1]]
         out.append(("chain-open" if tail is None else "chain-blue", tuple(seq)))
     for start in range(n):
@@ -354,6 +354,5 @@ def chain_cycle_decomposition(
                 break
             seq.append(nxt)
             seen[nxt] = True
-            assert len(seq) <= n
         out.append(("cycle-self" if len(seq) == 1 else "cycle", tuple(seq)))
     return out

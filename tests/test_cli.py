@@ -7,11 +7,12 @@ exceeded, 4 guarantee violated.
 
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
 
-from fairdiv import cli, example1, save_instance, xos
+from fairdiv import cli, example1, oracle, save_instance, xos
 
 
 @pytest.fixture()
@@ -240,6 +241,18 @@ def test_solve_rejects_alpha_past_pipeline_threshold(example_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("alg", ["additive", "subadditive"])
+@pytest.mark.parametrize("flag", ["--x0", "--beta"])
+def test_solve_rejects_start_flags_outside_polynomial(
+    alg, flag, example_path, tmp_path, capsys
+):
+    value = write_allocation(tmp_path, [[0], [1, 2]]) if flag == "--x0" else "3/4"
+    assert cli.main([
+        "solve", example_path, "--alg", alg, "--alpha", "1/2", flag, value,
+    ]) == 2
+    assert "additive-poly only" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -362,6 +375,35 @@ def test_sweep_rejects_bad_specs(example_path, tmp_path):
     }))
     assert cli.main(["sweep", "--spec", str(bad_alg), "--out",
                      str(tmp_path / "y.csv")]) == 2
+
+
+def test_sweep_solves_each_optimum_once(tmp_path, monkeypatch):
+    calls = []
+    real = oracle.exact_mnw
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "exact_mnw", counting)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "instances": [{"family": "random_additive", "n": 3, "m": 5,
+                       "max_value": 10, "seed": 2}],
+        "alphas": ["0", "1/2"],
+        "algorithms": ["additive", "additive-complete", "additive-poly"],
+    }))
+    out = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    rows = list(csv.DictReader(out.open(newline="")))
+    assert len(rows) == 6 and not any(row["error"] for row in rows)
+
+    # a failed search is not cached, so every row reports it
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out), "--cap", "100"]) == 0
+    rows = list(csv.DictReader(out.open(newline="")))
+    assert len(rows) == 6
+    assert all(row["error"].startswith("CapacityError: ") for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ from fairdiv import (
     envy_cycles,
     envy_edges,
     example1,
+    exact_mnw,
     pipeline_additive,
     pipeline_subadditive,
     random_additive,
     singleton_swaps,
     xos,
 )
+from fairdiv.completion import run
 
 HALF = Fraction(1, 2)
 
@@ -221,3 +223,52 @@ def test_pipeline_result_json_shape():
     assert all(r["verdict"] == "pass" for r in doc["reports"])
     flat = [g for bundle in doc["allocation"] for g in bundle]
     assert sorted(flat) == [0, 1, 2]
+
+
+def _no_optimum():
+    raise AssertionError("the optimum must not be computed")
+
+
+def test_run_checks_its_preconditions_before_the_optimum():
+    instance = example1()
+    with pytest.raises(ValueError, match="too large"):
+        run("additive", instance, Fraction(7, 8), True, optimum=_no_optimum)
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        run("additive-complete", instance, HALF, False, optimum=_no_optimum)
+    start = Allocation.from_masks((0b001, 0b110), 3)
+    with pytest.raises(ValueError, match="given start"):
+        run("subadditive", instance, HALF, False, optimum=_no_optimum, start=start)
+
+
+def test_run_polynomial_from_a_given_start():
+    instance = example1()
+    start = Allocation.from_masks((0b001, 0b110), 3)
+    result = run(
+        "additive-poly", instance, Fraction(1), True,
+        optimum=_no_optimum, start=start, beta=Fraction(3, 4),
+    )
+    assert result.ok and result.allocation.complete
+    assert result.mnw is None and result.to_json_dict()["optimal_product"] is None
+    assert result.start_product == 3
+    assert result.restart is not None and result.restart.rounds >= 0
+    # a completed restart run claims at most 1/2-EFX
+    assert [(r.prop, r.params.get("alpha")) for r in result.reports] == [
+        ("alpha_efx", HALF), ("beta_mnw", None),
+    ]
+
+
+def test_run_uses_the_optimum_it_is_given():
+    instance = random_additive(3, 5, 10, seed=8)
+    calls = []
+
+    def optimum():
+        calls.append(1)
+        return exact_mnw(instance)
+
+    for algorithm in ("additive", "subadditive", "additive-poly"):
+        for complete in (False, True):
+            result = run(algorithm, instance, Fraction(1, 4), complete, optimum=optimum)
+            assert result.ok, (algorithm, complete)
+            assert result.start_product == result.mnw.product
+            assert result.allocation.complete or not complete
+    assert len(calls) == 6

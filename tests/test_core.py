@@ -29,7 +29,7 @@ from fairdiv import (
     nash_product,
     parse_ratio,
 )
-from fairdiv.core import CAP_ENV_VAR, positive_profile, ratio_or_int
+from fairdiv.core import CAP_ENV_VAR, ratio_or_int
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +255,9 @@ def test_nash_product_and_positive_profile():
     inst = _two_agent_instance()
     alloc = Allocation.from_masks((0b100, 0b011), 3)
     assert nash_product(inst, alloc) == Fraction(2) * Fraction(3)
-    count, prod = positive_profile(inst, alloc.masks())
-    assert (count, prod) == (2, 6)
 
     starved = Allocation.from_masks((0b111, 0), 3)
     assert nash_product(inst, starved) == 0
-    assert positive_profile(inst, starved.masks()) == (1, 4)
 
     with pytest.raises(ValueError):
         nash_product(inst, Allocation.from_masks((0b1,), 1))

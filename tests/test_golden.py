@@ -1,0 +1,156 @@
+"""Byte-for-byte replay of captured CLI outputs.
+
+tests/golden/solve.json maps each case of `solve_cases()` to what
+`fairdiv solve ... --verify-all --trace FILE` produced: the result JSON, the
+trace JSON (null when none was written), the exit code and the stderr text.
+tests/golden/sweep_*.csv hold the CSVs of the sweeps in `SWEEPS`. Each sweep
+names its instances by generator entry, so `instance_id` does not depend on
+file paths.
+
+The files pin the CLI output, error rows and error order included. Refresh
+them only for an intended change of output, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from fairdiv import budget_additive, cli, example1, random_additive, save_instance, xos
+
+GOLDEN = Path(__file__).parent / "golden"
+
+INSTANCES = {
+    "example1": ({"family": "example1"}, example1),
+    "random_additive_3x6": (
+        {"family": "random_additive", "n": 3, "m": 6, "max_value": 10, "seed": 5},
+        lambda: random_additive(3, 6, 10, seed=5),
+    ),
+    "xos_2x5": (
+        {"family": "xos", "n": 2, "m": 5, "clauses": 3, "seed": 9},
+        lambda: xos(2, 5, clauses=3, seed=9),
+    ),
+    "budget_additive_3x5": (
+        {"family": "budget_additive", "n": 3, "m": 5, "cap": 20, "seed": 4},
+        lambda: budget_additive(3, 5, cap=20, seed=4),
+    ),
+}
+SOLVE_ALPHAS = ("0", "1/4", "1/2", "3/5", "1")
+SWEEP_ALPHAS = ("0", "1/4", "1/2", "3/5", "1", "7/8", "3/2")
+ALL_ALGORITHMS = list(cli.ALGORITHMS)
+# name -> (spec "algorithms" entry or None for the per-class default, extra argv)
+SWEEPS = {
+    "all": (ALL_ALGORITHMS, []),
+    "default": (None, []),
+    "cap500": (ALL_ALGORITHMS, ["--cap", "500"]),
+}
+START = [[0], [1, 2]]  # a complete start for example1, with product 3
+
+
+def solve_cases() -> dict[str, tuple[str, list[str]]]:
+    """case key -> (instance name, solve argv after the instance path)."""
+    cases = {}
+    for name in INSTANCES:
+        for alg in cli.SOLVE_ALGS:
+            for complete in (False, True):
+                for alpha in SOLVE_ALPHAS:
+                    argv = ["--alg", alg, "--alpha", alpha]
+                    if complete:
+                        argv.append("--complete")
+                    cases[f"{name} {' '.join(argv)}"] = (name, argv)
+    argv = ["--alg", "additive-poly", "--alpha", "1/2", "--x0", "START",
+            "--beta", "3/4", "--complete"]
+    cases[f"example1 {' '.join(argv)}"] = ("example1", argv)
+    return cases
+
+
+def _dump(data) -> str:
+    return "" if data is None else json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def run_solve(work: Path, name: str, argv: list[str]) -> dict:
+    """One solve run, as {"code", "result", "trace", "stderr"} with the raw
+    result and trace text."""
+    instance_path = work / f"{name}.json"
+    if not instance_path.exists():
+        save_instance(INSTANCES[name][1](), instance_path)
+    start_path = work / "start.json"
+    start_path.write_text(json.dumps({"bundles": START}))
+    trace_path = work / "trace.json"
+    if trace_path.exists():
+        trace_path.unlink()
+    argv = [str(start_path) if arg == "START" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["solve", str(instance_path), *argv,
+                         "--verify-all", "--trace", str(trace_path)])
+    return {
+        "code": code,
+        "result": out.getvalue(),
+        "trace": trace_path.read_text() if trace_path.exists() else "",
+        "stderr": err.getvalue(),
+    }
+
+
+def run_sweep(work: Path, name: str) -> bytes:
+    algorithms, extra = SWEEPS[name]
+    spec = {"instances": [entry for entry, _ in INSTANCES.values()], "alphas": list(SWEEP_ALPHAS)}
+    if algorithms is not None:
+        spec["algorithms"] = algorithms
+    spec_path = work / f"sweep_{name}.json"
+    spec_path.write_text(json.dumps(spec))
+    out_path = work / f"sweep_{name}.csv"
+    assert cli.main(["sweep", "--spec", str(spec_path), "--out", str(out_path), *extra]) == 0
+    return out_path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def golden_solve() -> dict:
+    return json.loads((GOLDEN / "solve.json").read_text())
+
+
+def test_golden_covers_every_case(golden_solve):
+    assert sorted(golden_solve) == sorted(solve_cases())
+
+
+@pytest.mark.parametrize("key", sorted(solve_cases()))
+def test_solve_matches_golden(key, golden_solve, tmp_path):
+    expected = golden_solve[key]
+    got = run_solve(tmp_path, *solve_cases()[key])
+    assert got["code"] == expected["code"]
+    assert got["stderr"] == expected["stderr"]
+    assert got["result"] == _dump(expected["result"])
+    assert got["trace"] == _dump(expected["trace"])
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_matches_golden(name, tmp_path):
+    assert run_sweep(tmp_path, name) == (GOLDEN / f"sweep_{name}.csv").read_bytes()
+
+
+def capture() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        solve = {}
+        for key, (name, argv) in sorted(solve_cases().items()):
+            got = run_solve(work, name, argv)
+            for part in ("result", "trace"):
+                raw = got[part]
+                got[part] = json.loads(raw) if raw else None
+                assert _dump(got[part]) == raw, f"{key}: {part} does not round-trip"
+            solve[key] = got
+        (GOLDEN / "solve.json").write_text(_dump(solve))
+        for name in SWEEPS:
+            (GOLDEN / f"sweep_{name}.csv").write_bytes(run_sweep(work, name))
+
+
+if __name__ == "__main__":
+    capture()

@@ -354,5 +354,5 @@ def test_chain_cycle_decomposition_partitions_agents():
 
 
 def test_chain_cycle_decomposition_rejects_double_holding():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="two agents hold one bundle"):
         chain_cycle_decomposition([("white", 0), ("white", 0)])

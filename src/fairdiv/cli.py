@@ -133,7 +133,7 @@ def _cmd_gen(args) -> int:
 def _cmd_check_instance(args) -> int:
     caps = _effective_caps(args)
     instance = instances.load_instance(args.instance, caps)
-    report = check_class(instance)
+    report = check_class(instance, caps)
     _emit(report.to_json_dict(), args.out)
     return EXIT_OK if report.ok else EXIT_MALFORMED
 

@@ -3,15 +3,19 @@
 All values are `fractions.Fraction`; nothing in this package ever rounds.
 Bundles are bitmasks over item indices, valuations are either additive
 (per-item values) or explicit (a full table over all 2^m bundles), and an
-allocation is a tuple of pairwise disjoint bundles, one per agent.
+allocation is a tuple of pairwise disjoint bundles, one per agent. The
+exhaustive searches run on `Instance.scaled_values`: the same values times
+one common denominator, as Python ints.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from functools import cached_property
+from typing import Iterator, NamedTuple
 
 
 class MalformedInstanceError(ValueError):
@@ -84,6 +88,15 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
+
+
+def check_enumeration(states: int, what: str, caps: Caps) -> None:
+    """Raise CapacityError when a search of `states` states exceeds the cap."""
+    if states > caps.enumeration:
+        raise CapacityError(
+            f"{what} needs {states} states, over the enumeration cap {caps.enumeration}"
+        )
+
 
 CAP_ENV_VAR = "FAIRDIV_CAP"
 
@@ -282,6 +295,21 @@ VALUATION_CLASSES = ("additive", "subadditive", "monotone")
 # ---------------------------------------------------------------------------
 # instances
 
+class ScaledValues(NamedTuple):
+    """Every value of an instance multiplied by one common scale, as ints.
+
+    values[i] is a tuple of per-item ints for an additive agent and, for an
+    explicit one, a tuple indexed by bundle mask holding None where the table
+    has no entry (2^m slots; m is capped by Caps.explicit_m). The scale is
+    shared by all agents, so a product of k positive values is always
+    scale**k times the true one, and products with equal k still order and
+    tie as the true ones do.
+    """
+
+    scale: int
+    values: tuple[tuple[int | None, ...], ...]
+
+
 @dataclass(frozen=True)
 class Instance:
     """n agents, m items, one valuation per agent, and a declared value class."""
@@ -326,6 +354,24 @@ class Instance:
     @property
     def is_additive(self) -> bool:
         return all(isinstance(v, AdditiveValuation) for v in self.valuations)
+
+    @cached_property
+    def scaled_values(self) -> ScaledValues:
+        """All values times the lcm of every value's denominator, over all agents."""
+        raw = [
+            val.item_values if isinstance(val, AdditiveValuation) else val.table.values()
+            for val in self.valuations
+        ]
+        scale = math.lcm(*{v.denominator for values in raw for v in values})
+
+        def up(v: Fraction | None) -> int | None:
+            return None if v is None else v.numerator * (scale // v.denominator)
+
+        return ScaledValues(scale, tuple(
+            tuple(map(up, val.item_values)) if isinstance(val, AdditiveValuation)
+            else tuple(map(up, map(val.table.get, range(1 << val.m))))
+            for val in self.valuations
+        ))
 
     def value_mask(self, agent: int, mask: int) -> Fraction:
         if not 0 <= agent < self.n:
@@ -506,14 +552,16 @@ def _check_subadditive(agent: int, val: ExplicitValuation, m: int) -> ClassRepor
     return walk(0, 0, 0)
 
 
-def check_class(instance: Instance) -> ClassReport:
+def check_class(instance: Instance, caps: Caps = DEFAULT_CAPS) -> ClassReport:
     """Verify that every valuation satisfies the instance's declared class.
 
     Additive valuations pass structurally (nonnegative item values imply
     monotonicity and subadditivity). Explicit tables are swept exhaustively:
     completeness and v(empty) = 0 first, then monotonicity for all (S, g),
     then, when the declared class is subadditive, v(S u T) <= v(S) + v(T)
-    over all disjoint pairs. The first violation found is returned.
+    over all disjoint pairs. The first violation found is returned. The
+    disjoint-pair walk has 3^m states per table and raises CapacityError
+    when that exceeds caps.enumeration.
     """
     for agent, val in enumerate(instance.valuations):
         if isinstance(val, AdditiveValuation):
@@ -525,7 +573,9 @@ def check_class(instance: Instance) -> ClassReport:
         if report is not None:
             return report
         if instance.declared_class == "subadditive":
-            report = _check_subadditive(agent, val, instance.m)
+            m = instance.m
+            check_enumeration(3**m, f"subadditivity check over 3^m = 3^{m} disjoint pairs", caps)
+            report = _check_subadditive(agent, val, m)
             if report is not None:
                 return report
     return ClassReport("pass", f"declared class {instance.declared_class} verified")

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (
+    AdditiveValuation,
     Allocation,
-    CapacityError,
     Caps,
     DEFAULT_CAPS,
     Instance,
+    check_enumeration,
     format_ratio,
 )
 from .instances import GeneratorSpec, generate
@@ -58,13 +59,6 @@ class MnwResult:
         }
 
 
-def _check_enumeration(states: int, what: str, caps: Caps) -> None:
-    if states > caps.enumeration:
-        raise CapacityError(
-            f"{what} needs {states} states, over the enumeration cap {caps.enumeration}"
-        )
-
-
 def exact_mnw(
     instance: Instance,
     caps: Caps = DEFAULT_CAPS,
@@ -76,6 +70,11 @@ def exact_mnw(
     with the optimistic per-agent bound (current value plus everything still
     unassigned), which never excludes an optimum or a tie. Branch-and-bound
     requires additive valuations; "auto" picks it exactly for those.
+
+    Both walks compare (positive count, product of positive values) keys on
+    `instance.scaled_values`: with one scale L for all agents a key with
+    count k is L**k times the true one, so keys order and tie as the true
+    keys do, and the optimum's product is the scaled one over L**n.
     """
     if method not in MNW_METHODS:
         raise ValueError(f"method must be one of {MNW_METHODS}, got {method!r}")
@@ -85,92 +84,80 @@ def exact_mnw(
         method = "branch-and-bound" if instance.is_additive else "plain"
 
     n, m = instance.n, instance.m
-    _check_enumeration(n**m, f"max-product search over n^m = {n}^{m}", caps)
-    vals = instance.valuations
+    check_enumeration(n**m, f"max-product search over n^m = {n}^{m}", caps)
+    scale, values = instance.scaled_values
+    prune = method == "branch-and-bound"
+    agents = range(n)
+    # explicit agents are read from their tables at the leaves; additive
+    # agents keep a running sum, and columns[t][i] is agent i's value for item t
+    tables = [
+        None if isinstance(val, AdditiveValuation) else values[i]
+        for i, val in enumerate(instance.valuations)
+    ]
+    columns = [
+        tuple(0 if table is not None else values[i][t] for i, table in enumerate(tables))
+        for t in range(m)
+    ]
+    # rest[t][i]: agent i's value for all items t..m-1, the pruning bound
+    rest = [[0] * n for _ in range(m + 1)]
+    for t in range(m - 1, -1, -1):
+        for i in agents:
+            rest[t][i] = rest[t + 1][i] + columns[t][i]
 
-    best_key: tuple[int, Fraction] | None = None
-    best_masks: tuple[int, ...] | None = None
+    best_count = -1
+    best_prod = 0
+    best_masks: tuple[int, ...] = ()
     ties = 0
     masks = [0] * n
+    current = [0] * n
 
-    def leaf_key(values) -> tuple[int, Fraction]:
-        count = 0
-        prod = Fraction(1)
-        for v in values:
-            if v > 0:
-                count += 1
-                prod *= v
-        return count, prod
-
-    def record(key: tuple[int, Fraction]) -> None:
-        nonlocal best_key, best_masks, ties
-        if best_key is None or key > best_key:
-            best_key = key
-            best_masks = tuple(masks)
-            ties = 1
-        elif key == best_key:
-            ties += 1
-
-    if method == "plain":
-        current = [Fraction(0)] * n
-
-        def walk_plain(t: int) -> None:
-            if t == m:
-                if instance.is_additive:
-                    record(leaf_key(current))
+    def walk(t: int) -> None:
+        nonlocal best_count, best_prod, best_masks, ties
+        if t == m:
+            count = 0
+            prod = 1
+            for i in agents:
+                table = tables[i]
+                if table is None:
+                    v = current[i]
                 else:
-                    record(leaf_key(vals[i].value_mask(masks[i]) for i in range(n)))
+                    v = table[masks[i]]
+                    if v is None:  # missing entry: raise the valuation's own error
+                        instance.valuations[i].value_mask(masks[i])
+                if v:
+                    count += 1
+                    prod *= v
+            if count > best_count or (count == best_count and prod > best_prod):
+                best_count, best_prod, best_masks, ties = count, prod, tuple(masks), 1
+            elif count == best_count and prod == best_prod:
+                ties += 1
+            return
+        if prune:
+            bound_count = 0
+            bound_prod = 1
+            rest_t = rest[t]
+            for i in agents:
+                reach = current[i] + rest_t[i]
+                if reach:
+                    bound_count += 1
+                    bound_prod *= reach
+            # a completion can only tie the bound, so a strictly worse
+            # bound means the subtree holds neither optima nor ties
+            if bound_count < best_count or (bound_count == best_count and bound_prod < best_prod):
                 return
-            bit = 1 << t
-            for agent in range(n):
-                masks[agent] |= bit
-                if instance.is_additive:
-                    current[agent] += vals[agent].item_values[t]
-                walk_plain(t + 1)
-                if instance.is_additive:
-                    current[agent] -= vals[agent].item_values[t]
-                masks[agent] &= ~bit
+        bit = 1 << t
+        column = columns[t]
+        for agent in agents:
+            masks[agent] |= bit
+            current[agent] += column[agent]
+            walk(t + 1)
+            current[agent] -= column[agent]
+            masks[agent] ^= bit
 
-        walk_plain(0)
-    else:
-        # rest[t][i]: agent i's value for all items t..m-1
-        rest = [[Fraction(0)] * n for _ in range(m + 1)]
-        for t in range(m - 1, -1, -1):
-            for i in range(n):
-                rest[t][i] = rest[t + 1][i] + vals[i].item_values[t]
-        current = [Fraction(0)] * n
-
-        def walk_bnb(t: int) -> None:
-            if t == m:
-                record(leaf_key(current))
-                return
-            if best_key is not None:
-                bound_count = 0
-                bound_prod = Fraction(1)
-                for i in range(n):
-                    reach = current[i] + rest[t][i]
-                    if reach > 0:
-                        bound_count += 1
-                        bound_prod *= reach
-                # a completion can only tie the bound, so a strictly worse
-                # bound means the subtree holds neither optima nor ties
-                if (bound_count, bound_prod) < best_key:
-                    return
-            bit = 1 << t
-            for agent in range(n):
-                masks[agent] |= bit
-                current[agent] += vals[agent].item_values[t]
-                walk_bnb(t + 1)
-                current[agent] -= vals[agent].item_values[t]
-                masks[agent] &= ~bit
-
-        walk_bnb(0)
-
-    assert best_masks is not None and best_key is not None
+    walk(0)
     allocation = Allocation.from_masks(best_masks, m)
-    count, prod_positive = best_key
-    product = prod_positive if count == n else Fraction(0)
-    return MnwResult(allocation, product, count, ties)
+    product = Fraction(best_prod, scale**n) if best_count == n else Fraction(0)
+    return MnwResult(allocation, product, best_count, ties)
 
 
 def best_alpha_efx_product(
@@ -187,9 +174,7 @@ def best_alpha_efx_product(
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     n, m = instance.n, instance.m
-    _check_enumeration(
-        (n + 1) ** m, f"alpha-EFX search over (n+1)^m = {n + 1}^{m}", caps
-    )
+    check_enumeration((n + 1) ** m, f"alpha-EFX search over (n+1)^m = {n + 1}^{m}", caps)
     vals = instance.valuations
 
     best: Fraction | None = None

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (
+    AdditiveValuation,
     Allocation,
     Bundle,
     CapacityError,
@@ -243,29 +244,44 @@ def mms_share(
         # some part is necessarily empty
         return Fraction(0)
 
-    best = Fraction(0)
+    scale, values = instance.scaled_values
+    own = values[agent]
+    # additive parts keep a running sum; explicit parts are looked up by mask
+    additive = isinstance(val, AdditiveValuation)
+    gains = [own[g] if additive else 0 for g in items]
+    sums = [0] * k
     part_masks = [0] * k
+    best = 0
+    last = len(items)
 
     def walk(t: int, used: int) -> None:
         nonlocal best
-        if t == len(items):
+        if t == last:
             if used == k:
-                worst = min(val.value_mask(mask) for mask in part_masks)
+                if additive:
+                    worst = min(sums)
+                else:
+                    parts = [own[mask] for mask in part_masks]
+                    if None in parts:  # missing entry: raise the valuation's own error
+                        parts = [val.value_mask(mask) for mask in part_masks]
+                    worst = min(parts)
                 if worst > best:
                     best = worst
             return
         # must still be able to open all k parts
-        if used + (len(items) - t) < k:
+        if used + (last - t) < k:
             return
         bit = 1 << items[t]
-        limit = min(used + 1, k)
-        for part in range(limit):
+        gain = gains[t]
+        for part in range(min(used + 1, k)):
             part_masks[part] |= bit
+            sums[part] += gain
             walk(t + 1, used + 1 if part == used else used)
-            part_masks[part] &= ~bit
+            sums[part] -= gain
+            part_masks[part] ^= bit
 
     walk(0, 0)
-    return best
+    return Fraction(best, scale)
 
 
 def is_alpha_mms(

@@ -91,6 +91,29 @@ def naive_best_product(instance) -> Fraction:
     return best
 
 
+def naive_mnw(instance):
+    """Lexicographic max over complete allocations of (count of agents with
+    positive value, product of the positive values), as (masks, key, ties).
+
+    masks is the first optimum in assignment order (item 0's agent first)
+    and ties counts the optima.
+    """
+    best_masks, best_key, ties = None, None, 0
+    for masks in all_complete_masks(instance.n, instance.m):
+        count, prod = 0, Fraction(1)
+        for i in range(instance.n):
+            v = instance.valuations[i].value_mask(masks[i])
+            if v > 0:
+                count += 1
+                prod *= v
+        key = (count, prod)
+        if best_key is None or key > best_key:
+            best_masks, best_key, ties = masks, key, 1
+        elif key == best_key:
+            ties += 1
+    return best_masks, best_key, ties
+
+
 def naive_best_efx_product(instance, alpha: Fraction) -> Fraction:
     """Max product over alpha-EFX partial allocations ((n+1)^m search)."""
     n, m = instance.n, instance.m

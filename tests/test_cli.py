@@ -115,6 +115,14 @@ def test_check_instance_flags_wrong_declaration(tmp_path, capsys):
     assert report["s"] == [0] and report["t"] == [1]
 
 
+def test_check_instance_caps_the_subadditivity_walk(xos_path, capsys):
+    # xos tables are declared subadditive; their pair walk has 3^5 = 243 states
+    code, report = run_json(capsys, ["check-instance", xos_path, "--cap", "243"])
+    assert code == 0 and report["verdict"] == "pass"
+    assert cli.main(["check-instance", xos_path, "--cap", "242"]) == 3
+    assert "3^5" in capsys.readouterr().err
+
+
 def test_check_instance_rejects_missing_file(capsys):
     assert cli.main(["check-instance", "/nonexistent/inst.json"]) == 2
     assert "error" in capsys.readouterr().err
@@ -132,6 +140,20 @@ def test_mnw_methods_agree(example_path, capsys):
     assert code == 0
     assert plain == bnb
     assert plain["product"] == "4"
+
+
+def test_mnw_rejects_a_missing_table_entry(tmp_path, capsys):
+    table = {"0": 0, "1": 1, "3": 2}
+    doc = {
+        "n": 2,
+        "m": 2,
+        "class": "monotone",
+        "valuations": [{"table": table}, {"table": table}],
+    }
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["mnw", str(path), "--method", "plain"]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_mnw_capacity_exit_code(example_path, capsys):

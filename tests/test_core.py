@@ -309,6 +309,36 @@ def test_check_class_flags_subadditivity_violation():
     assert check_class(Instance(1, 2, inst.valuations, "monotone")).ok
 
 
+def test_check_class_caps_the_subadditivity_walk():
+    table = {mask: mask.bit_count() for mask in range(8)}
+    inst = Instance(1, 3, (ExplicitValuation(3, table),), "subadditive")
+    assert check_class(inst, Caps(enumeration=27)).ok
+    with pytest.raises(CapacityError, match=r"3\^3"):
+        check_class(inst, Caps(enumeration=26))
+    # the cap guards the 3^m walk only: structure and monotonicity come first
+    broken = Instance(1, 3, (ExplicitValuation(3, {0: 0}),), "subadditive")
+    assert check_class(broken, Caps(enumeration=1)).verdict == "malformed"
+    assert check_class(Instance(1, 3, inst.valuations, "monotone"), Caps(enumeration=1)).ok
+
+
+def test_scaled_values_share_one_scale():
+    inst = Instance(
+        2,
+        2,
+        (
+            AdditiveValuation((Fraction(1, 2), 0)),
+            ExplicitValuation(2, {0: 0, 1: Fraction(1, 3), 2: 1, 3: Fraction(5, 4)}),
+        ),
+        "monotone",
+    )
+    scale, values = inst.scaled_values
+    assert scale == 12
+    assert values == ((6, 0), (0, 4, 12, 15))
+    sparse = Instance(1, 2, (ExplicitValuation(2, {0: 0, 3: Fraction(1, 2)}),), "monotone")
+    assert sparse.scaled_values == (2, ((0, None, None, 1),))
+    assert inst.scaled_values is inst.scaled_values
+
+
 def test_check_class_json_shape():
     report = check_class(
         Instance(1, 2, (ExplicitValuation(2, {0: 0, 1: 1, 2: 1, 3: 3}),), "subadditive")

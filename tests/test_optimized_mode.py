@@ -1,0 +1,83 @@
+"""The CLI under `python -O`, where every `assert` is stripped.
+
+Proof obligations must not live in asserts, so a run with asserts removed
+has to print exactly what the golden files pinned: each case runs
+`python -O -m fairdiv.cli` in a subprocess and compares its output byte for
+byte with tests/golden/solve.json.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+import fairdiv
+from fairdiv import cli, save_instance
+from test_golden import GOLDEN, INSTANCES, _dump, solve_cases
+
+SRC = Path(fairdiv.__file__).resolve().parents[1]
+CASES = (
+    "example1 --alg additive --alpha 1/2 --complete",
+    "random_additive_3x6 --alg additive --alpha 3/5 --complete",
+    "xos_2x5 --alg subadditive --alpha 1/2 --complete",
+    "budget_additive_3x5 --alg subadditive --alpha 1/4 --complete",
+)
+
+
+def run_optimized(argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "fairdiv.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.fixture(scope="module")
+def golden_solve() -> dict:
+    return json.loads((GOLDEN / "solve.json").read_text())
+
+
+def instance_file(tmp_path: Path, name: str) -> Path:
+    path = tmp_path / f"{name}.json"
+    save_instance(INSTANCES[name][1](), path)
+    return path
+
+
+@pytest.mark.parametrize("key", CASES)
+def test_solve_under_optimize_matches_golden(key, golden_solve, tmp_path):
+    name, argv = solve_cases()[key]
+    trace = tmp_path / "trace.json"
+    got = run_optimized(
+        ["solve", str(instance_file(tmp_path, name)), *argv,
+         "--verify-all", "--trace", str(trace)]
+    )
+    expected = golden_solve[key]
+    assert got.returncode == expected["code"]
+    assert got.stderr == expected["stderr"]
+    assert got.stdout == _dump(expected["result"])
+    assert (trace.read_text() if trace.exists() else "") == _dump(expected["trace"])
+
+
+@pytest.mark.parametrize("method", ["plain", "auto"])
+@pytest.mark.parametrize("key", CASES[1:3])
+def test_mnw_under_optimize_matches_normal_mode(key, method, golden_solve, tmp_path):
+    name, _ = solve_cases()[key]
+    argv = ["mnw", str(instance_file(tmp_path, name)), "--method", method]
+    got = run_optimized(argv)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert got.returncode == 0 and got.stderr == ""
+    assert got.stdout == out.getvalue()
+    assert json.loads(got.stdout)["product"] == golden_solve[key]["result"]["optimal_product"]

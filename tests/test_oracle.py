@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,15 @@ from fairdiv import (
     AdditiveValuation,
     CapacityError,
     Caps,
+    ExplicitValuation,
     GeneratorSpec,
     Instance,
+    MalformedInstanceError,
     best_alpha_efx_product,
     certify_impossibility,
     exact_mnw,
     example1,
+    budget_additive,
     generate,
     monotone_gap_instance,
     random_additive,
@@ -79,6 +83,86 @@ def test_plain_and_branch_and_bound_agree_exactly():
         plain = exact_mnw(inst, method="plain")
         bnb = exact_mnw(inst, method="branch-and-bound")
         assert plain == bnb  # allocation, product, count, and tie count
+
+
+def fractional_additive(seed: int) -> Instance:
+    """Additive values with zeros, each agent drawing from its own denominators."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    m = rng.randint(0, 6 if n < 4 else 5)
+    valuations = []
+    for _ in range(n):
+        denominators = rng.sample((1, 2, 3, 5, 7, 9), 2)
+        valuations.append(AdditiveValuation(tuple(
+            Fraction(rng.choice((0, 0, 1, 2, 5, 9)), rng.choice(denominators))
+            for _ in range(m)
+        )))
+    return Instance(n, m, tuple(valuations), "additive")
+
+
+def assert_matches_naive_mnw(inst, result) -> None:
+    masks, (count, positive_product), ties = naive.naive_mnw(inst)
+    assert result.allocation.masks() == masks
+    assert result.positive_agent_count == count
+    assert result.product == (positive_product if count == inst.n else 0)
+    assert result.ties == ties
+
+
+def test_exact_mnw_matches_naive_mnw_on_fractional_values():
+    short = 0
+    for seed in range(120):
+        inst = fractional_additive(seed)
+        for method in ("plain", "branch-and-bound"):
+            assert_matches_naive_mnw(inst, exact_mnw(inst, method=method))
+        short += exact_mnw(inst).positive_agent_count < inst.n
+    assert short >= 20  # the count < n keys, where per-agent scales would go wrong
+
+
+def test_exact_mnw_compares_partial_products_on_one_scale():
+    # no allocation makes all three agents positive; the best pair is {0, 1}
+    # (product 1/2), ahead of {1, 2} (1/3) and {0, 2} (1/6)
+    inst = Instance(
+        3,
+        2,
+        (
+            AdditiveValuation((Fraction(1, 2), Fraction(1, 2))),
+            AdditiveValuation((1, 1)),
+            AdditiveValuation((Fraction(1, 3), Fraction(1, 3))),
+        ),
+        "additive",
+    )
+    for method in ("plain", "branch-and-bound"):
+        result = exact_mnw(inst, method=method)
+        assert result.positive_agent_count == 2
+        assert result.product == 0
+        assert result.allocation.masks() == (0b01, 0b10, 0)
+        assert result.ties == 2
+        assert_matches_naive_mnw(inst, result)
+
+
+def test_exact_mnw_matches_naive_mnw_on_tables():
+    for seed in range(6):
+        for inst in (
+            xos(2 + seed % 2, 3 + seed % 3, clauses=2 + seed % 2, seed=seed),
+            budget_additive(2 + seed % 2, 3 + seed % 3, cap=8 + seed, seed=seed),
+        ):
+            assert_matches_naive_mnw(inst, exact_mnw(inst))
+
+
+def test_exact_mnw_missing_table_entry_raises_at_the_first_leaf_that_reads_it():
+    # leaves in order: (0, 0) reads masks 3 and 0, (0, 1) reads 1 and 2,
+    # (1, 0) reads agent 0's missing mask 2 before agent 1's missing mask 1
+    inst = Instance(
+        2,
+        2,
+        (
+            ExplicitValuation(2, {0: 0, 1: 1, 3: 2}),
+            ExplicitValuation(2, {0: 0, 2: 1, 3: 2}),
+        ),
+        "monotone",
+    )
+    with pytest.raises(MalformedInstanceError, match="missing a table entry for mask 2"):
+        exact_mnw(inst, method="plain")
 
 
 def test_exact_mnw_method_validation():

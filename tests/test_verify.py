@@ -16,7 +16,10 @@ from fairdiv import (
     Bundle,
     CapacityError,
     Caps,
+    ExplicitValuation,
     Instance,
+    MalformedInstanceError,
+    budget_additive,
     efx_violation,
     example1,
     is_alpha_efx,
@@ -224,6 +227,41 @@ def test_mms_share_matches_naive(data):
     pool_mask = data.draw(st.integers(0, (1 << instance.m) - 1))
     share = mms_share(instance, agent, k, Bundle(pool_mask))
     assert share == naive.naive_mms(instance, agent, k, naive.mask_items(pool_mask))
+
+
+def test_mms_share_matches_naive_on_unequal_denominators():
+    # item denominators differ within and across agents; the pools run from
+    # empty through fewer items than k to all six
+    inst = Instance(
+        2,
+        6,
+        (
+            AdditiveValuation(("1/2", "2/3", 0, "5/7", 3, "1/9")),
+            AdditiveValuation(("4/5", 0, "7/4", "1/3", "2/11", 1)),
+        ),
+        "additive",
+    )
+    for agent in range(inst.n):
+        for pool_mask in (0, 0b1, 0b100100, 0b111, 0b101011, 0b111111):
+            for k in (1, 2, 3):
+                share = mms_share(inst, agent, k, Bundle(pool_mask))
+                assert share == naive.naive_mms(inst, agent, k, naive.mask_items(pool_mask))
+
+
+def test_mms_share_matches_naive_on_a_table():
+    inst = budget_additive(2, 5, cap=9, seed=1)
+    for agent in range(inst.n):
+        for pool_mask in (0b11, 0b10110, 0b11111):
+            for k in (1, 2, 3):
+                share = mms_share(inst, agent, k, Bundle(pool_mask))
+                assert share == naive.naive_mms(inst, agent, k, naive.mask_items(pool_mask))
+
+
+def test_mms_share_missing_table_entry_raises():
+    # the one labelling into two parts reads part 0 (mask 1) before part 1 (mask 2)
+    inst = Instance(1, 2, (ExplicitValuation(2, {0: 0, 3: 2}),), "monotone")
+    with pytest.raises(MalformedInstanceError, match="missing a table entry for mask 1"):
+        mms_share(inst, 0, 2, Bundle(0b11))
 
 
 def test_mms_share_validation_and_caps():

@@ -448,7 +448,9 @@ def _cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fairdiv",
         description=(

@@ -505,17 +505,18 @@ def _check_explicit_structure(agent: int, val: ExplicitValuation) -> ClassReport
     return None
 
 
-def _check_monotone(agent: int, val: ExplicitValuation, m: int) -> ClassReport | None:
+def _check_monotone(
+    agent: int, val: ExplicitValuation, row: tuple[int, ...], m: int
+) -> ClassReport | None:
     for mask in range(1 << m):
-        base = val.table[mask]
+        base = row[mask]
         for g in range(m):
-            if (mask >> g) & 1:
-                continue
-            grown = val.table[mask | (1 << g)]
-            if grown < base:
+            grown = mask | (1 << g)
+            if grown != mask and row[grown] < base:
+                vs, vg = val.table[mask], val.table[grown]
                 return ClassReport(
                     "monotonicity",
-                    f"agent {agent}: v(S + item {g}) = {grown} < {base} = v(S)",
+                    f"agent {agent}: v(S + item {g}) = {vg} < {vs} = v(S)",
                     agent=agent,
                     s=Bundle(mask),
                     g=g,
@@ -523,33 +524,45 @@ def _check_monotone(agent: int, val: ExplicitValuation, m: int) -> ClassReport |
     return None
 
 
-def _check_subadditive(agent: int, val: ExplicitValuation, m: int) -> ClassReport | None:
-    # Under monotonicity it suffices to check disjoint pairs: each item is in
-    # S, in T, or in neither, so the pair space has 3^m states.
-    def walk(g: int, s_mask: int, t_mask: int) -> ClassReport | None:
-        if g == m:
-            if s_mask == 0 or t_mask == 0:
-                return None
-            vs = val.table[s_mask]
-            vt = val.table[t_mask]
-            vu = val.table[s_mask | t_mask]
-            if vu > vs + vt:
-                return ClassReport(
-                    "subadditivity",
-                    f"agent {agent}: v(S u T) = {vu} > {vs} + {vt} = v(S) + v(T)",
-                    agent=agent,
-                    s=Bundle(s_mask),
-                    t=Bundle(t_mask),
-                )
-            return None
-        bit = 1 << g
-        return (
-            walk(g + 1, s_mask, t_mask)
-            or walk(g + 1, s_mask | bit, t_mask)
-            or walk(g + 1, s_mask, t_mask | bit)
-        )
-
-    return walk(0, 0, 0)
+def _check_subadditive(
+    agent: int, val: ExplicitValuation, row: tuple[int, ...], m: int
+) -> ClassReport | None:
+    # Under monotonicity it suffices to check disjoint pairs. Each unordered
+    # split {S, T} of a union U is visited once, on the scaled ints. The
+    # witness is the violation that comes first in the ordered walk over all
+    # 3^m (S, T) states: item 0 most significant, each item in neither, S,
+    # or T, in that order. With trits[X] the sum of 3^(m-1-g) over items g in
+    # X, that walk's key is trits[S] + 2 trits[T], so the witness puts the
+    # side with the larger trits in S, and its key is trits[U] + trits[T],
+    # between trits[U] and 3^m. Unions are visited by rising trits, so the
+    # walk stops at the first U whose trits reach the best key found.
+    trits, order = [0], [0]
+    for g in range(m):
+        trits += [t + 3 ** (m - 1 - g) for t in trits]
+        order += [u | 1 << (m - 1 - g) for u in order]
+    best, witness = 3**m, None
+    for u in order:
+        if trits[u] >= best:
+            break
+        vu = row[u]
+        s = (u - 1) & u
+        while s > (t := u ^ s):
+            if vu > row[s] + row[t]:
+                hi, lo = (s, t) if trits[s] > trits[t] else (t, s)
+                if trits[u] + trits[lo] < best:
+                    best, witness = trits[u] + trits[lo], (hi, lo)
+            s = (s - 1) & u
+    if witness is None:
+        return None
+    s, t = witness
+    vs, vt, vu = val.table[s], val.table[t], val.table[s | t]
+    return ClassReport(
+        "subadditivity",
+        f"agent {agent}: v(S u T) = {vu} > {vs} + {vt} = v(S) + v(T)",
+        agent=agent,
+        s=Bundle(s),
+        t=Bundle(t),
+    )
 
 
 def check_class(instance: Instance, caps: Caps = DEFAULT_CAPS) -> ClassReport:
@@ -559,9 +572,11 @@ def check_class(instance: Instance, caps: Caps = DEFAULT_CAPS) -> ClassReport:
     monotonicity and subadditivity). Explicit tables are swept exhaustively:
     completeness and v(empty) = 0 first, then monotonicity for all (S, g),
     then, when the declared class is subadditive, v(S u T) <= v(S) + v(T)
-    over all disjoint pairs. The first violation found is returned. The
-    disjoint-pair walk has 3^m states per table and raises CapacityError
-    when that exceeds caps.enumeration.
+    over all disjoint pairs, on `scaled_values` ints. The first violation in
+    agent, (S, g), then (S, T) walk order is returned. The disjoint-pair
+    walk visits each unordered pair at most once, but its cap still counts
+    all 3^m ordered states per table: CapacityError when that exceeds
+    caps.enumeration.
     """
     for agent, val in enumerate(instance.valuations):
         if isinstance(val, AdditiveValuation):
@@ -569,13 +584,13 @@ def check_class(instance: Instance, caps: Caps = DEFAULT_CAPS) -> ClassReport:
         report = _check_explicit_structure(agent, val)
         if report is not None:
             return report
-        report = _check_monotone(agent, val, instance.m)
+        m, row = instance.m, instance.scaled_values.values[agent]
+        report = _check_monotone(agent, val, row, m)
         if report is not None:
             return report
         if instance.declared_class == "subadditive":
-            m = instance.m
             check_enumeration(3**m, f"subadditivity check over 3^m = 3^{m} disjoint pairs", caps)
-            report = _check_subadditive(agent, val, m)
+            report = _check_subadditive(agent, val, row, m)
             if report is not None:
                 return report
     return ClassReport("pass", f"declared class {instance.declared_class} verified")

@@ -458,3 +458,23 @@ def test_certify_requires_family_parameters():
 def test_unknown_subcommand_is_an_argparse_error():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+def test_main_builds_the_parser_once_and_prints_the_same(example_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    complete = ["solve", example_path, "--alg", "additive", "--alpha", "1/2", "--complete"]
+    partial = complete[:-1]
+    runs = []
+    for argv in (complete, partial, complete, partial):
+        runs.append((cli.main(argv), capsys.readouterr()))
+    assert runs[0] == runs[2] and runs[1] == runs[3]
+    assert runs[0][1].out != runs[1][1].out  # --complete does not leak into the next call
+    # help, usage and error text match a parser built afresh
+    fresh = cli.build_parser.__wrapped__()
+    for argv in (["--help"], ["solve", "--help"], ["solve", example_path], ["frobnicate"]):
+        texts = []
+        for parse in (cli.main, fresh.parse_args, cli.main):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            texts.append((exc.value.code, capsys.readouterr()))
+        assert texts[0] == texts[1] == texts[2]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,8 @@ from fairdiv import (
     parse_ratio,
 )
 from fairdiv.core import CAP_ENV_VAR, ratio_or_int
+
+import naive
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +322,53 @@ def test_check_class_caps_the_subadditivity_walk():
     broken = Instance(1, 3, (ExplicitValuation(3, {0: 0}),), "subadditive")
     assert check_class(broken, Caps(enumeration=1)).verdict == "malformed"
     assert check_class(Instance(1, 3, inst.valuations, "monotone"), Caps(enumeration=1)).ok
+
+
+def random_class_table(rng: random.Random, m: int, kind: str) -> dict[int, Fraction]:
+    """A max of 1-3 additive clauses over mixed denominators, then, by kind:
+    "bump" adds to every superset of a random set (monotone, often not
+    subadditive), "square" squares every value (monotone, superadditive),
+    "dent" lowers one entry (often not monotone)."""
+    clauses = [[Fraction(rng.randint(0, 10), rng.randint(1, 6)) for _ in range(m)]
+               for _ in range(rng.randint(1, 3))]
+    table = {mask: max(sum((row[g] for g in iter_mask(mask)), Fraction(0)) for row in clauses)
+             for mask in range(1 << m)}
+    if kind == "bump" and m >= 2:
+        core = mask_of(rng.sample(range(m), rng.randint(2, m)))
+        bump = Fraction(rng.randint(1, 30), rng.randint(1, 4))
+        table = {mask: v + bump if mask & core == core else v for mask, v in table.items()}
+    elif kind == "square":
+        table = {mask: v * v / rng.randint(1, 5) for mask, v in table.items()}
+    elif kind == "dent" and m >= 1:
+        mask = rng.randrange(1, 1 << m)
+        table[mask] *= Fraction(rng.randint(0, 3), 4)
+    return table
+
+
+def test_check_class_matches_the_naive_walk():
+    rng = random.Random(2024)
+    verdicts = []
+    for _ in range(300):
+        n, m = rng.randint(1, 3), rng.randint(1, 7)
+        tables = [random_class_table(rng, m, rng.choice(("plain", "bump", "bump", "square", "dent")))
+                  for _ in range(n)]
+        declared = "monotone" if rng.randrange(6) == 0 else "subadditive"
+        inst = Instance(n, m, tuple(ExplicitValuation(m, t) for t in tables), declared)
+        report = check_class(inst)
+        verdict, agent, s, t, g = naive.naive_class_report(inst)
+        verdicts.append(verdict)
+        assert (report.verdict, report.agent, report.g) == (verdict, agent, g)
+        assert report.s == (None if s is None else Bundle(s))
+        assert report.t == (None if t is None else Bundle(t))
+        v = None if agent is None else tables[agent]
+        if verdict == "monotonicity":
+            assert report.detail == f"agent {agent}: v(S + item {g}) = {v[s | 1 << g]} < {v[s]} = v(S)"
+        elif verdict == "subadditivity":
+            assert report.detail == (
+                f"agent {agent}: v(S u T) = {v[s | t]} > {v[s]} + {v[t]} = v(S) + v(T)"
+            )
+    assert verdicts.count("subadditivity") >= 100
+    assert verdicts.count("monotonicity") >= 20 and verdicts.count("pass") >= 30
 
 
 def test_scaled_values_share_one_scale():

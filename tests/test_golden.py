@@ -5,7 +5,9 @@ tests/golden/solve.json maps each case of `solve_cases()` to what
 trace JSON (null when none was written), the exit code and the stderr text.
 tests/golden/sweep_*.csv hold the CSVs of the sweeps in `SWEEPS`. Each sweep
 names its instances by generator entry, so `instance_id` does not depend on
-file paths.
+file paths. tests/golden/check_instance.json maps each case of
+`CHECK_CASES` to what `fairdiv check-instance` printed: the report JSON (null
+when none was printed), the exit code and the stderr text.
 
 The files pin the CLI output, error rows and error order included. Refresh
 them only for an intended change of output, with
@@ -19,11 +21,21 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fairdiv import budget_additive, cli, example1, random_additive, save_instance, xos
+from fairdiv import (
+    ExplicitValuation,
+    Instance,
+    budget_additive,
+    cli,
+    example1,
+    random_additive,
+    save_instance,
+    xos,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,6 +64,103 @@ SWEEPS = {
     "cap500": (ALL_ALGORITHMS, ["--cap", "500"]),
 }
 START = [[0], [1, 2]]  # a complete start for example1, with product 3
+
+
+def with_tables(instance: Instance, edit, declared_class: str | None = None) -> Instance:
+    """`instance` with edit(agent, table) applied to a copy of each table."""
+    valuations = []
+    for agent, val in enumerate(instance.valuations):
+        table = dict(val.table)
+        edit(agent, table)
+        valuations.append(ExplicitValuation(instance.m, table))
+    return Instance(instance.n, instance.m, tuple(valuations),
+                    declared_class or instance.declared_class)
+
+
+def bumped(instance: Instance, agent: int, items, bump, declared_class: str | None = None):
+    """Add `bump` to agent's value of every superset of `items`. The table
+    stays monotone; once `items` has two or more items and the bump is large
+    enough, splitting `items` breaks subadditivity."""
+    core = sum(1 << g for g in items)
+
+    def edit(i, table):
+        if i == agent:
+            for mask in table:
+                if mask & core == core:
+                    table[mask] += bump
+
+    return with_tables(instance, edit, declared_class)
+
+
+def set_entry(instance: Instance, agent: int, mask: int, value, declared_class=None):
+    """Overwrite (value None: delete) one table entry of one agent."""
+
+    def edit(i, table):
+        if i == agent:
+            if value is None:
+                del table[mask]
+            else:
+                table[mask] = Fraction(value)
+
+    return with_tables(instance, edit, declared_class)
+
+
+def rescaled(instance: Instance, factors) -> Instance:
+    """Each agent's table times its own factor: mixed denominators."""
+
+    def edit(i, table):
+        for mask in table:
+            table[mask] *= factors[i]
+
+    return with_tables(instance, edit)
+
+
+def squares(m: int) -> Instance:
+    """v(S) = |S|^2: monotone, and every pair of nonempty disjoint sets breaks
+    subadditivity, so only the walk order decides the witness."""
+    table = {mask: mask.bit_count() ** 2 for mask in range(1 << m)}
+    return Instance(1, m, (ExplicitValuation(m, table),), "subadditive")
+
+
+# case -> (instance factory, extra argv)
+CHECK_CASES = {
+    "example1": (example1, []),
+    "random_additive_3x6": (INSTANCES["random_additive_3x6"][1], []),
+    "xos_2x5": (INSTANCES["xos_2x5"][1], []),
+    "xos_3x6": (lambda: xos(3, 6, clauses=4, seed=2), []),
+    "budget_additive_3x5": (INSTANCES["budget_additive_3x5"][1], []),
+    "budget_additive_2x7": (lambda: budget_additive(2, 7, cap=25, seed=1), []),
+    "xos_3x6 mixed denominators": (
+        lambda: rescaled(xos(3, 6, clauses=4, seed=2), (Fraction(5, 7), Fraction(1, 3), 1)), []),
+    "xos_2x5 bump {0,2} agent 0": (lambda: bumped(xos(2, 5, clauses=3, seed=9), 0, (0, 2), 5), []),
+    "xos_3x6 bump {1,4} agent 1": (
+        lambda: bumped(xos(3, 6, clauses=4, seed=2), 1, (1, 4), Fraction(7, 2)), []),
+    "xos_3x6 bump {2,3,5} agent 2": (
+        lambda: bumped(xos(3, 6, clauses=4, seed=2), 2, (2, 3, 5), Fraction(1, 7)), []),
+    "budget_additive_3x5 bump {0,4} agent 2": (
+        lambda: bumped(budget_additive(3, 5, cap=20, seed=4), 2, (0, 4), 10), []),
+    "budget_additive_2x7 bump {3,6} agent 1": (
+        lambda: bumped(budget_additive(2, 7, cap=25, seed=1), 1, (3, 6), Fraction(9, 4)), []),
+    "xos_2x5 bump {0,2} declared monotone": (
+        lambda: bumped(xos(2, 5, clauses=3, seed=9), 0, (0, 2), 5, "monotone"), []),
+    "squares_4": (lambda: squares(4), []),
+    "xos_2x5 non-monotone agent 1": (
+        lambda: set_entry(xos(2, 5, clauses=3, seed=9), 1, 0b10110, 0), []),
+    "xos_2x5 non-monotone declared monotone": (
+        lambda: set_entry(xos(2, 5, clauses=3, seed=9), 0, 0b01101, Fraction(1, 2), "monotone"),
+        []),
+    "xos_2x5 bump agent 0, non-monotone agent 1": (
+        lambda: set_entry(bumped(xos(2, 5, clauses=3, seed=9), 0, (1, 3), 20), 1, 0b11, 0), []),
+    "xos_2x5 missing entry": (lambda: set_entry(xos(2, 5, clauses=3, seed=9), 1, 9, None), []),
+    "xos_2x5 nonzero empty set": (lambda: set_entry(xos(2, 5, clauses=3, seed=9), 1, 0, 1), []),
+    "xos_2x5 --cap 243": (INSTANCES["xos_2x5"][1], ["--cap", "243"]),
+    "xos_2x5 --cap 242": (INSTANCES["xos_2x5"][1], ["--cap", "242"]),
+    # agent 0's walk meets the cap before agent 1's tables are read
+    "xos_2x5 non-monotone agent 1 --cap 1": (
+        lambda: set_entry(xos(2, 5, clauses=3, seed=9), 1, 0b10110, 0), ["--cap", "1"]),
+    "xos_2x5 non-monotone agent 0 --cap 1": (
+        lambda: set_entry(xos(2, 5, clauses=3, seed=9), 0, 0b10110, 0), ["--cap", "1"]),
+}
 
 
 def solve_cases() -> dict[str, tuple[str, list[str]]]:
@@ -111,6 +220,17 @@ def run_sweep(work: Path, name: str) -> bytes:
     return out_path.read_bytes()
 
 
+def run_check_instance(work: Path, case: str) -> dict:
+    """One check-instance run, as {"code", "stdout", "stderr"} texts."""
+    factory, extra = CHECK_CASES[case]
+    instance_path = work / "check.json"
+    save_instance(factory(), instance_path)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["check-instance", str(instance_path), *extra])
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 @pytest.fixture(scope="module")
 def golden_solve() -> dict:
     return json.loads((GOLDEN / "solve.json").read_text())
@@ -135,6 +255,24 @@ def test_sweep_matches_golden(name, tmp_path):
     assert run_sweep(tmp_path, name) == (GOLDEN / f"sweep_{name}.csv").read_bytes()
 
 
+@pytest.fixture(scope="module")
+def golden_check() -> dict:
+    return json.loads((GOLDEN / "check_instance.json").read_text())
+
+
+def test_golden_covers_every_check_case(golden_check):
+    assert sorted(golden_check) == sorted(CHECK_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_CASES))
+def test_check_instance_matches_golden(case, golden_check, tmp_path):
+    expected = golden_check[case]
+    got = run_check_instance(tmp_path, case)
+    assert got["code"] == expected["code"]
+    assert got["stderr"] == expected["stderr"]
+    assert got["stdout"] == _dump(expected["stdout"])
+
+
 def capture() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -150,6 +288,14 @@ def capture() -> None:
         (GOLDEN / "solve.json").write_text(_dump(solve))
         for name in SWEEPS:
             (GOLDEN / f"sweep_{name}.csv").write_bytes(run_sweep(work, name))
+        check = {}
+        for case in sorted(CHECK_CASES):
+            got = run_check_instance(work, case)
+            raw = got["stdout"]
+            got["stdout"] = json.loads(raw) if raw else None
+            assert _dump(got["stdout"]) == raw, f"{case}: stdout does not round-trip"
+            check[case] = got
+        (GOLDEN / "check_instance.json").write_text(_dump(check))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Proof obligations must not live in asserts, so a run with asserts removed
 has to print exactly what the golden files pinned: each case runs
 `python -O -m fairdiv.cli` in a subprocess and compares its output byte for
-byte with tests/golden/solve.json.
+byte with tests/golden/solve.json or tests/golden/check_instance.json.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 
 import fairdiv
 from fairdiv import cli, save_instance
-from test_golden import GOLDEN, INSTANCES, _dump, solve_cases
+from test_golden import CHECK_CASES, GOLDEN, INSTANCES, _dump, solve_cases
 
 SRC = Path(fairdiv.__file__).resolve().parents[1]
 CASES = (
@@ -81,3 +81,15 @@ def test_mnw_under_optimize_matches_normal_mode(key, method, golden_solve, tmp_p
     assert got.returncode == 0 and got.stderr == ""
     assert got.stdout == out.getvalue()
     assert json.loads(got.stdout)["product"] == golden_solve[key]["result"]["optimal_product"]
+
+
+@pytest.mark.parametrize("case", ["xos_3x6", "xos_3x6 bump {2,3,5} agent 2"])
+def test_check_instance_under_optimize_matches_golden(case, tmp_path):
+    expected = json.loads((GOLDEN / "check_instance.json").read_text())[case]
+    factory, extra = CHECK_CASES[case]
+    path = tmp_path / "check.json"
+    save_instance(factory(), path)
+    got = run_optimized(["check-instance", str(path), *extra])
+    assert got.returncode == expected["code"]
+    assert got.stderr == expected["stderr"]
+    assert got.stdout == _dump(expected["stdout"])

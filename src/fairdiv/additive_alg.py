@@ -107,32 +107,25 @@ def _kick_holder(matches: list[int | None], owner: int) -> None:
             return
 
 
-def _content_condition(instance, z, x, i, alpha) -> bool:
-    """True iff agent i accepts their own bundle: compare against every
-    v_i(z_j - g), at factor alpha while z_i is untouched and exactly otherwise."""
+def _envy_target(instance, z, x, i, alpha) -> tuple[int, int] | None:
+    """Agent i's step: None when i keeps z_i, i.e. v_i(z_i) >= factor *
+    v_i(z_j - g) for every j and g in z_j, at factor alpha while z_i is
+    untouched and 1 otherwise; else the (j, g) maximizing v_i(z_j - g), ties
+    to the lowest j, then the lowest g. Values are additive, so the best g of
+    each z_j is its cheapest item."""
     vi = instance.valuations[i]
-    own = vi.value_mask(z[i])
-    factor = alpha if z[i] == x[i] else Fraction(1)
-    for j in range(instance.n):
-        zj = z[j]
-        for g in iter_mask(zj):
-            if own < factor * vi.value_mask(zj & ~(1 << g)):
-                return False
-    return True
-
-
-def _best_theft(instance, z, i) -> tuple[int, int]:
-    """(j, g) maximizing v_i(z_j - g); ties to the lowest j, then lowest g."""
-    vi = instance.valuations[i]
+    item = vi.item_values
     best_val: Fraction | None = None
     best: tuple[int, int] | None = None
-    for j in range(instance.n):
-        zj = z[j]
-        for g in iter_mask(zj):
-            v = vi.value_mask(zj & ~(1 << g))
+    for j, zj in enumerate(z):
+        if zj:
+            g = min(iter_mask(zj), key=item.__getitem__)
+            v = vi.value_mask(zj) - item[g]
             if best_val is None or v > best_val:
                 best_val, best = v, (j, g)
-    assert best is not None  # the content condition failed, so a pair exists
+    factor = alpha if z[i] == x[i] else 1
+    if best is None or vi.value_mask(z[i]) >= factor * best_val:
+        return None
     return best
 
 
@@ -160,14 +153,15 @@ def efx_matching(
                 f"matching ran past its proven bound of (m+1)*n = {max_iterations} iterations"
             )
         i = next(a for a in range(n) if matches[a] is None)
-        if _content_condition(instance, z, x, i, alpha):
+        target = _envy_target(instance, z, x, i, alpha)
+        if target is None:
             _kick_holder(matches, i)
             matches[i] = i
             trace.append(
                 MatchStep(SELF, i, z_masks=tuple(z), matches=tuple(matches))
             )
         else:
-            j, g = _best_theft(instance, z, i)
+            j, g = target
             assert j != i
             _kick_holder(matches, j)
             z[j] &= ~(1 << g)
@@ -282,12 +276,13 @@ def match_or_improve(
                 f"match_or_improve ran past {max_iterations} iterations"
             )
         i = next(a for a in range(n) if matches[a] is None)
-        if _content_condition(instance, z, x, i, alpha):
+        target = _envy_target(instance, z, x, i, alpha)
+        if target is None:
             _kick_holder(matches, i)
             matches[i] = i
             trace.append(MatchStep(SELF, i, z_masks=tuple(z), matches=tuple(matches)))
             continue
-        j, g = _best_theft(instance, z, i)
+        j, g = target
         assert j != i
         holder = next((u for u in range(n) if matches[u] == j), None)
         if holder is None:

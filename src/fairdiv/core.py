@@ -78,8 +78,8 @@ class Caps:
 
     enumeration caps the state count of brute-force loops (n^m, (n+1)^m,
     k^|pool|), explicit_m caps the item count of explicit table valuations,
-    and group_share_agents caps n for the subset loop of the group-share
-    checker unless explicitly overridden by the caller.
+    and group_share_agents caps n for the 2^n subset loop of the group-share
+    checker.
     """
 
     enumeration: int = DEFAULT_ENUMERATION_CAP
@@ -95,6 +95,14 @@ def check_enumeration(states: int, what: str, caps: Caps) -> None:
     if states > caps.enumeration:
         raise CapacityError(
             f"{what} needs {states} states, over the enumeration cap {caps.enumeration}"
+        )
+
+
+def check_explicit_m(m: int, m_cap: int) -> None:
+    """Raise CapacityError when a table over m items (2^m entries) exceeds the cap."""
+    if m > m_cap:
+        raise CapacityError(
+            f"explicit valuation with m={m} exceeds the table cap {m_cap} (2^m entries required)"
         )
 
 
@@ -262,11 +270,7 @@ class ExplicitValuation:
     def __post_init__(self, m_cap: int) -> None:
         if self.m < 0:
             raise MalformedInstanceError(f"negative m: {self.m}")
-        if self.m > m_cap:
-            raise CapacityError(
-                f"explicit valuation with m={self.m} exceeds the table cap "
-                f"{m_cap} (2^m entries required)"
-            )
+        check_explicit_m(self.m, m_cap)
         top = full_mask(self.m)
         clean: dict[int, Fraction] = {}
         for mask, raw in self.table.items():

@@ -20,6 +20,7 @@ from .core import (
     ExplicitValuation,
     Instance,
     MalformedInstanceError,
+    check_explicit_m,
     parse_ratio,
     ratio_or_int,
 )
@@ -97,6 +98,15 @@ def random_additive(n: int, m: int, max_value: int, seed: int) -> Instance:
 _CLAUSE_MAX_WEIGHT = 10
 
 
+def _mask_sums(weights: list[int]) -> list[int]:
+    """sums[mask] = the sum of weights[g] over the items g in mask."""
+    sums = [0] * (1 << len(weights))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    return sums
+
+
 def xos(n: int, m: int, clauses: int = 3, seed: int = 0) -> Instance:
     """Max over `clauses` additive clauses with weights in [0, 10].
 
@@ -108,22 +118,11 @@ def xos(n: int, m: int, clauses: int = 3, seed: int = 0) -> Instance:
     rng = random.Random(seed)
     valuations = []
     for _ in range(n):
-        weights = [
-            [rng.randint(0, _CLAUSE_MAX_WEIGHT) for _ in range(m)] for _ in range(clauses)
+        clause_sums = [
+            _mask_sums([rng.randint(0, _CLAUSE_MAX_WEIGHT) for _ in range(m)])
+            for _ in range(clauses)
         ]
-        table: dict[int, Fraction] = {}
-        for mask in range(1 << m):
-            best = 0
-            for row in weights:
-                total = 0
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    total += row[low.bit_length() - 1]
-                    rest ^= low
-                if total > best:
-                    best = total
-            table[mask] = Fraction(best)
+        table = {mask: Fraction(max(sums)) for mask, sums in enumerate(zip(*clause_sums))}
         valuations.append(ExplicitValuation(m, table))
     return Instance(n, m, tuple(valuations), "subadditive")
 
@@ -135,16 +134,8 @@ def budget_additive(n: int, m: int, cap: int, seed: int) -> Instance:
     rng = random.Random(seed)
     valuations = []
     for _ in range(n):
-        weights = [rng.randint(0, _CLAUSE_MAX_WEIGHT) for _ in range(m)]
-        table: dict[int, Fraction] = {}
-        for mask in range(1 << m):
-            total = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                total += weights[low.bit_length() - 1]
-                rest ^= low
-            table[mask] = Fraction(min(cap, total))
+        sums = _mask_sums([rng.randint(0, _CLAUSE_MAX_WEIGHT) for _ in range(m)])
+        table = {mask: Fraction(min(cap, total)) for mask, total in enumerate(sums)}
         valuations.append(ExplicitValuation(m, table))
     return Instance(n, m, tuple(valuations), "subadditive")
 
@@ -279,6 +270,7 @@ def instance_from_dict(data: dict, caps: Caps = DEFAULT_CAPS) -> Instance:
                         f"valuation {i}: table key {key!r} is not a bundle mask"
                     ) from None
                 table[mask] = parse_ratio(v)
+            check_explicit_m(m, caps.explicit_m)  # before 1 << m is built
             if len(table) != 1 << m:
                 raise MalformedInstanceError(
                     f"valuation {i}: table has {len(table)} entries, needs {1 << m} "

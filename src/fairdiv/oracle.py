@@ -258,47 +258,32 @@ def certify_impossibility(
         eps = Fraction(str(spec.param("eps")))
         n = int(spec.param("n"))
         instance = generate(spec)
-        mnw = exact_mnw(instance, caps)
-        best, best_alloc = best_alpha_efx_product(instance, alpha, caps)
         expected_mnw = (1 + 1 / alpha + eps) ** (n - 1)
-        expected_best = (1 / alpha + eps) ** (n - 1)
-        verified = mnw.product == expected_mnw and best == expected_best
-        return ImpossibilityCertificate(
-            spec=spec,
-            alpha=alpha,
-            mnw_product=mnw.product,
-            best_efx_product=best,
-            ratio=best / mnw.product,
-            expected_mnw_product=expected_mnw,
-            expected_best_bound=expected_best,
-            best_must_equal_bound=True,
-            verified=verified,
-            mnw_allocation=mnw.allocation,
-            best_allocation=best_alloc,
-        )
-    if spec.family == "theorem5":
+        bound = (1 / alpha + eps) ** (n - 1)
+    elif spec.family == "theorem5":
         big_n = int(spec.param("N"))
         instance = generate(spec)  # validates that N is a perfect square
-        root = math.isqrt(big_n)
-        alpha = Fraction(2, root)
-        mnw = exact_mnw(instance, caps)
-        best, best_alloc = best_alpha_efx_product(instance, alpha, caps)
+        alpha = Fraction(2, math.isqrt(big_n))
         expected_mnw = Fraction(big_n)
-        bound = Fraction(root)
-        verified = mnw.product == expected_mnw and best <= bound
-        return ImpossibilityCertificate(
-            spec=spec,
-            alpha=alpha,
-            mnw_product=mnw.product,
-            best_efx_product=best,
-            ratio=best / mnw.product,
-            expected_mnw_product=expected_mnw,
-            expected_best_bound=bound,
-            best_must_equal_bound=False,
-            verified=verified,
-            mnw_allocation=mnw.allocation,
-            best_allocation=best_alloc,
+        bound = Fraction(math.isqrt(big_n))
+    else:
+        raise ValueError(
+            f"impossibility certificates exist for the gap families only, got {spec.family!r}"
         )
-    raise ValueError(
-        f"impossibility certificates exist for the gap families only, got {spec.family!r}"
+    # theorem4's bound is attained exactly; theorem5's is only an upper bound
+    exact = spec.family == "theorem4"
+    mnw = exact_mnw(instance, caps)
+    best, best_alloc = best_alpha_efx_product(instance, alpha, caps)
+    return ImpossibilityCertificate(
+        spec=spec,
+        alpha=alpha,
+        mnw_product=mnw.product,
+        best_efx_product=best,
+        ratio=best / mnw.product,
+        expected_mnw_product=expected_mnw,
+        expected_best_bound=bound,
+        best_must_equal_bound=exact,
+        verified=mnw.product == expected_mnw and (best == bound if exact else best <= bound),
+        mnw_allocation=mnw.allocation,
+        best_allocation=best_alloc,
     )

@@ -338,20 +338,18 @@ def is_alpha_gmms(
     allocation: Allocation,
     alpha: Fraction,
     caps: Caps = DEFAULT_CAPS,
-    allow_large: bool = False,
 ) -> GuaranteeReport:
     """alpha-GMMS: for every nonempty group I and i in I,
     v_i(X_i) >= alpha * mu_i(|I|, union of the group's bundles).
 
-    The group loop is 2^n; refuse n beyond caps.group_share_agents unless the
-    caller passes allow_large=True.
+    The group loop is 2^n; refuse n beyond caps.group_share_agents.
     """
     alpha = _check_alpha(alpha)
     _check_allocation(instance, allocation)
-    if instance.n > caps.group_share_agents and not allow_large:
+    if instance.n > caps.group_share_agents:
         raise CapacityError(
             f"group-share check over {instance.n} agents exceeds the cap "
-            f"{caps.group_share_agents}; pass allow_large=True to force it"
+            f"Caps.group_share_agents = {caps.group_share_agents}"
         )
     for group_mask in range(1, 1 << instance.n):
         members = list(iter_mask(group_mask))

@@ -51,6 +51,25 @@ def naive_ef1_ok(instance, masks) -> bool:
     return True
 
 
+def naive_envy_step(instance, z, x, i: int, alpha: Fraction):
+    """Agent i's step in the additive matchings, from the definition.
+
+    None when v_i(z_i) >= factor * v_i(z_j - g) for every j and g in z_j, with
+    factor alpha while z_i == x_i and 1 otherwise; else the first (j, g), j
+    then g ascending, with the largest v_i(z_j - g).
+    """
+    v = instance.valuations[i].value_mask
+    factor = alpha if z[i] == x[i] else Fraction(1)
+    pairs = [(j, g) for j in range(instance.n) for g in mask_items(z[j])]
+    if all(v(z[i]) >= factor * v(z[j] & ~(1 << g)) for j, g in pairs):
+        return None
+    best = None
+    for j, g in pairs:
+        if best is None or v(z[j] & ~(1 << g)) > v(z[best[0]] & ~(1 << best[1])):
+            best = (j, g)
+    return best
+
+
 def naive_separated_ok(instance, masks, gamma: Fraction) -> bool:
     """gamma * v_i(X_i) >= v_i({x}) for every unallocated item x."""
     allocated = 0

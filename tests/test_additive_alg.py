@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from fairdiv import (
     touching_sequence,
     xos,
 )
+from fairdiv.additive_alg import _envy_target
 
 ALPHAS = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 5), Fraction(1)]
 
@@ -119,6 +121,49 @@ def test_matching_rejects_bad_inputs():
         additive_efx_matching(
             inst, Allocation.from_masks((0b01, 0b10), 2), Fraction(1)
         )
+
+
+def random_envy_state(rng: random.Random):
+    """(instance, z, x, i, alpha): an additive instance with per-agent
+    denominators and values 0..3 (zeros and ties are common), a random
+    complete x, and z_j a subset of x_j (often x_j itself, sometimes empty)."""
+    n, m = rng.randint(1, 5), rng.randint(0, 8)
+    inst = Instance(n, m, tuple(
+        AdditiveValuation(tuple(Fraction(rng.randint(0, 3), den) for _ in range(m)))
+        for den in (rng.choice((1, 2, 3)) for _ in range(n))
+    ), "additive")
+    x = [0] * n
+    for g in range(m):
+        x[rng.randrange(n)] |= 1 << g
+    z = [xj if rng.random() < 0.4 else xj & rng.getrandbits(max(m, 1)) for xj in x]
+    alpha = rng.choice((Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1)))
+    return inst, z, x, rng.randrange(n), alpha
+
+
+def test_envy_target_matches_the_definition():
+    rng = random.Random(7)
+    for _ in range(3000):
+        inst, z, x, i, alpha = random_envy_state(rng)
+        assert _envy_target(inst, z, x, i, alpha) == naive.naive_envy_step(inst, z, x, i, alpha)
+
+
+def test_envy_target_breaks_ties_and_keeps_on_equality():
+    inst = Instance(3, 5, (
+        AdditiveValuation((1, 2, 2, 2, 2)),
+        AdditiveValuation((0, 0, 0, 0, 0)),
+        AdditiveValuation((1, 1, 1, 1, 1)),
+    ), "additive")
+    x = [0b00001, 0b00110, 0b11000]
+    # agent 0 values every z_j - g with j >= 1 at 2: the lowest j wins, then
+    # the lowest g
+    assert _envy_target(inst, x, x, 0, Fraction(1)) == (1, 1)
+    # equal values keep the bundle: 1 >= 1/2 * 2
+    assert _envy_target(inst, x, x, 0, Fraction(1, 2)) is None
+    # once z_0 is shrunk the factor is 1, whatever alpha is
+    assert _envy_target(inst, [0, 0b00110, 0b11000], x, 0, Fraction(0)) == (1, 1)
+    # nobody to envy: no pair (j, g) exists
+    assert _envy_target(inst, [0, 0, 0], x, 1, Fraction(1)) is None
+    assert _envy_target(inst, [0b00001, 0, 0], x, 2, Fraction(1)) is None
 
 
 # ---------------------------------------------------------------------------

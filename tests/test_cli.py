@@ -123,6 +123,20 @@ def test_check_instance_caps_the_subadditivity_walk(xos_path, capsys):
     assert "3^5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", [17, 10**20])
+def test_check_instance_refuses_a_table_over_the_item_cap(tmp_path, capsys, m):
+    # the cap is checked before the 2^m entry count is computed, so even an
+    # m far too large for 1 << m exits 3 instead of raising OverflowError
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"n": 1, "m": m, "class": "subadditive", "valuations": [{"table": {}}]}
+    ))
+    assert cli.main(["check-instance", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: explicit valuation with m={m} exceeds the table cap 16 (2^m entries required)\n"
+    )
+
+
 def test_check_instance_rejects_missing_file(capsys):
     assert cli.main(["check-instance", "/nonexistent/inst.json"]) == 2
     assert "error" in capsys.readouterr().err

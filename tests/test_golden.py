@@ -8,6 +8,11 @@ names its instances by generator entry, so `instance_id` does not depend on
 file paths. tests/golden/check_instance.json maps each case of
 `CHECK_CASES` to what `fairdiv check-instance` printed: the report JSON (null
 when none was printed), the exit code and the stderr text.
+tests/golden/certify.json does the same for `fairdiv certify-impossibility`
+over `CERTIFY_CASES`. tests/golden/restart.json maps each seed of
+`RESTART_SEEDS` to the library's additive matchings on `restart_case(seed)`:
+the allocation masks, outcome kind, rounds and branches, and each trace as
+`solve --trace` writes it.
 
 The files pin the CLI output, error rows and error order included. Refresh
 them only for an intended change of output, with
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -27,11 +33,17 @@ from pathlib import Path
 import pytest
 
 from fairdiv import (
+    AdditiveValuation,
+    Allocation,
     ExplicitValuation,
     Instance,
+    additive_efx_matching,
     budget_additive,
     cli,
     example1,
+    format_ratio,
+    match_or_improve,
+    matching_with_restarts,
     random_additive,
     save_instance,
     xos,
@@ -163,6 +175,100 @@ CHECK_CASES = {
 }
 
 
+CERTIFY_CASES = tuple(
+    argv.split()
+    for argv in (
+        "--family theorem4 --alpha 1/2 --eps 1/10 --n 2",
+        "--family theorem4 --alpha 1 --eps 1/100 --n 2",
+        "--family theorem4 --alpha 1/3 --eps 1/2 --n 2",
+        "--family theorem4 --alpha 1/2 --eps 1/10 --n 3",
+        "--family theorem4 --alpha 2/3 --eps 1/7 --n 3",
+        "--family theorem5 --N 4",
+        "--family theorem5 --N 9",
+        "--family theorem5 --N 16",
+        "--family theorem4 --alpha 1/2 --eps 1/10",
+        "--family theorem4 --eps 1/10 --n 2",
+        "--family theorem4 --alpha 1/2 --n 2",
+        "--family theorem5",
+        "--family theorem5 --N 8",
+        "--family theorem4 --alpha 0 --eps 1/10 --n 2",
+        "--family theorem4 --alpha 1/2 --eps 1/10 --n 1",
+        "--family theorem4 --alpha 1/2 --eps 1/10 --n 3 --cap 100",
+        "--family theorem4 --alpha 1/2 --eps 1/10 --n 3 --cap 500",
+    )
+)
+RESTART_SEEDS = range(40)
+RESTART_ALPHAS = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1))
+RESTART_BETA_DENOMINATOR = 1000
+
+
+def restart_case(seed: int) -> tuple[Instance, Allocation, Fraction, Fraction]:
+    """(instance, start, alpha, beta) for one seed of the restart golden.
+
+    n runs 2..5 and m n..12. Each agent draws item values 0..6 over a
+    denominator of its own, so zeros, ties and mixed denominators are common.
+    The start is a random complete allocation with a positive product, and
+    beta is the largest p/1000 with (p/1000)^n * prod_i v_i(M) <= that
+    product: a true lower bound on the start's welfare ratio.
+    """
+    rng = random.Random(seed)
+    n = 2 + seed % 4
+    m = rng.randint(n, 12)
+    valuations = tuple(
+        AdditiveValuation(tuple(Fraction(rng.randint(0, 6), den) for _ in range(m)))
+        for den in (rng.choice((1, 2, 3, 5, 7)) for _ in range(n))
+    )
+    instance = Instance(n, m, valuations, "additive")
+    ceiling = Fraction(1)
+    for val in valuations:
+        ceiling *= val.value_mask((1 << m) - 1)
+    for _ in range(1000):
+        masks = [0] * n
+        for g in range(m):
+            masks[rng.randrange(n)] |= 1 << g
+        product = Fraction(1)
+        for val, mask in zip(valuations, masks):
+            product *= val.value_mask(mask)
+        p = RESTART_BETA_DENOMINATOR
+        while p and Fraction(p, RESTART_BETA_DENOMINATOR) ** n * ceiling > product:
+            p -= 1
+        if p:
+            alpha = RESTART_ALPHAS[seed % len(RESTART_ALPHAS)]
+            return (instance, Allocation.from_masks(masks, m), alpha,
+                    Fraction(p, RESTART_BETA_DENOMINATOR))
+    raise AssertionError(f"seed {seed}: no start with a positive product")
+
+
+def run_restart(seed: int) -> dict:
+    """The three additive matchings on restart_case(seed), as JSON data."""
+    instance, start, alpha, beta = restart_case(seed)
+    partial, state = additive_efx_matching(instance, start, alpha)
+    outcome = match_or_improve(instance, start, alpha)
+    restart = matching_with_restarts(instance, start, alpha, beta)
+    return {
+        "n": instance.n,
+        "m": instance.m,
+        "alpha": format_ratio(alpha),
+        "beta": format_ratio(beta),
+        "start": list(start.masks()),
+        "efx_matching": {
+            "allocation": list(partial.masks()),
+            "trace": cli._solve_trace_json(state),
+        },
+        "match_or_improve": {
+            "kind": outcome.kind,
+            "allocation": list(outcome.allocation.masks()),
+            "trace": cli._solve_trace_json(outcome.state),
+        },
+        "matching_with_restarts": {
+            "allocation": list(restart.allocation.masks()),
+            "rounds": restart.rounds,
+            "branches": list(restart.branches),
+            "trace": None if restart.state is None else cli._solve_trace_json(restart.state),
+        },
+    }
+
+
 def solve_cases() -> dict[str, tuple[str, list[str]]]:
     """case key -> (instance name, solve argv after the instance path)."""
     cases = {}
@@ -231,6 +337,14 @@ def run_check_instance(work: Path, case: str) -> dict:
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def run_certify(argv: list[str]) -> dict:
+    """One certify-impossibility run, as {"code", "stdout", "stderr"} texts."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["certify-impossibility", *argv])
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 @pytest.fixture(scope="module")
 def golden_solve() -> dict:
     return json.loads((GOLDEN / "solve.json").read_text())
@@ -273,6 +387,52 @@ def test_check_instance_matches_golden(case, golden_check, tmp_path):
     assert got["stdout"] == _dump(expected["stdout"])
 
 
+@pytest.fixture(scope="module")
+def golden_certify() -> dict:
+    return json.loads((GOLDEN / "certify.json").read_text())
+
+
+def test_golden_covers_every_certify_case(golden_certify):
+    assert sorted(golden_certify) == sorted(" ".join(argv) for argv in CERTIFY_CASES)
+
+
+@pytest.mark.parametrize("argv", CERTIFY_CASES, ids=" ".join)
+def test_certify_matches_golden(argv, golden_certify):
+    expected = golden_certify[" ".join(argv)]
+    got = run_certify(argv)
+    assert got["code"] == expected["code"]
+    assert got["stderr"] == expected["stderr"]
+    assert got["stdout"] == _dump(expected["stdout"])
+
+
+@pytest.fixture(scope="module")
+def golden_restart() -> dict:
+    return json.loads((GOLDEN / "restart.json").read_text())
+
+
+def test_golden_restart_covers_every_seed_and_branch(golden_restart):
+    assert sorted(golden_restart) == sorted(f"seed {seed}" for seed in RESTART_SEEDS)
+    branches = set()
+    for case in golden_restart.values():
+        branches.update(case["matching_with_restarts"]["branches"])
+        for run in ("efx_matching", "match_or_improve", "matching_with_restarts"):
+            branches.update(step["branch"] for step in case[run]["trace"] or ())
+    assert {"self", "steal", "take", "matched", "improved"} <= branches
+
+
+@pytest.mark.parametrize("seed", RESTART_SEEDS)
+def test_restart_matches_golden(seed, golden_restart):
+    assert run_restart(seed) == golden_restart[f"seed {seed}"]
+
+
+def _parsed(got: dict, key: str, where: str) -> dict:
+    """got with got[key] parsed from JSON text (None when empty)."""
+    raw = got[key]
+    got[key] = json.loads(raw) if raw else None
+    assert _dump(got[key]) == raw, f"{where}: {key} does not round-trip"
+    return got
+
+
 def capture() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -280,22 +440,21 @@ def capture() -> None:
         solve = {}
         for key, (name, argv) in sorted(solve_cases().items()):
             got = run_solve(work, name, argv)
-            for part in ("result", "trace"):
-                raw = got[part]
-                got[part] = json.loads(raw) if raw else None
-                assert _dump(got[part]) == raw, f"{key}: {part} does not round-trip"
-            solve[key] = got
+            solve[key] = _parsed(_parsed(got, "result", key), "trace", key)
         (GOLDEN / "solve.json").write_text(_dump(solve))
         for name in SWEEPS:
             (GOLDEN / f"sweep_{name}.csv").write_bytes(run_sweep(work, name))
         check = {}
         for case in sorted(CHECK_CASES):
-            got = run_check_instance(work, case)
-            raw = got["stdout"]
-            got["stdout"] = json.loads(raw) if raw else None
-            assert _dump(got["stdout"]) == raw, f"{case}: stdout does not round-trip"
-            check[case] = got
+            check[case] = _parsed(run_check_instance(work, case), "stdout", case)
         (GOLDEN / "check_instance.json").write_text(_dump(check))
+    certify = {}
+    for argv in CERTIFY_CASES:
+        key = " ".join(argv)
+        certify[key] = _parsed(run_certify(argv), "stdout", key)
+    (GOLDEN / "certify.json").write_text(_dump(certify))
+    restart = {f"seed {seed}": run_restart(seed) for seed in RESTART_SEEDS}
+    (GOLDEN / "restart.json").write_text(_dump(restart))
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -118,6 +119,32 @@ def test_budget_additive_caps_the_sum():
         for mask in range(1 << 5):
             expect = min(cap, sum(singles[g] for g in naive.mask_items(mask)))
             assert val.value_mask(mask) == expect
+
+
+# sha256 of the sort_keys JSON of instance_to_dict over each grid below, in
+# grid order; pins the tables and the rng draw order of both table families
+XOS_GRID = [(n, m, clauses, seed) for n in (1, 2, 3) for m in (0, 1, 4, 7)
+            for clauses in (1, 3) for seed in (0, 5, 11)]
+BUDGET_GRID = [(n, m, cap, seed) for n in (1, 2, 3) for m in (0, 1, 4, 7)
+               for cap in (0, 7, 25) for seed in (0, 5, 11)]
+GENERATOR_DIGESTS = {
+    "xos": "cf86ba14b77342cee7ede0c94470d178d4bd4926f0f11807a5d52fc1ee492dcf",
+    "budget_additive": "1b1d838f965abc92204a7e9c7084206bd2f5e87f3ca9b25bfdf705263ab5e8b7",
+}
+
+
+def generator_digest(factory, grid) -> str:
+    digest = hashlib.sha256()
+    for args in grid:
+        digest.update(json.dumps(instance_to_dict(factory(*args)), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "factory, grid", [(xos, XOS_GRID), (budget_additive, BUDGET_GRID)], ids=["xos", "budget_additive"]
+)
+def test_table_generators_match_pinned_digest(factory, grid):
+    assert generator_digest(factory, grid) == GENERATOR_DIGESTS[factory.__name__]
 
 
 def test_generator_parameter_validation():

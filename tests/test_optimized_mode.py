@@ -3,7 +3,9 @@
 Proof obligations must not live in asserts, so a run with asserts removed
 has to print exactly what the golden files pinned: each case runs
 `python -O -m fairdiv.cli` in a subprocess and compares its output byte for
-byte with tests/golden/solve.json or tests/golden/check_instance.json.
+byte with tests/golden/solve.json or tests/golden/check_instance.json. The
+additive matchings replay a few seeds of tests/golden/restart.json the same
+way, with the steal, take and improved steps among them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from fairdiv import cli, save_instance
 from test_golden import CHECK_CASES, GOLDEN, INSTANCES, _dump, solve_cases
 
 SRC = Path(fairdiv.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 CASES = (
     "example1 --alg additive --alpha 1/2 --complete",
     "random_additive_3x6 --alg additive --alpha 3/5 --complete",
@@ -31,11 +34,16 @@ CASES = (
 )
 
 
+# seeds whose traces hold steals that remove, steals that close a cycle,
+# takes, and improved rounds
+RESTART_SEEDS = (9, 18, 34)
+
+
 def run_optimized(argv: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), str(TESTS), env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-O", "-m", "fairdiv.cli", *argv],
+        [sys.executable, "-O", *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -59,7 +67,7 @@ def test_solve_under_optimize_matches_golden(key, golden_solve, tmp_path):
     name, argv = solve_cases()[key]
     trace = tmp_path / "trace.json"
     got = run_optimized(
-        ["solve", str(instance_file(tmp_path, name)), *argv,
+        ["-m", "fairdiv.cli", "solve", str(instance_file(tmp_path, name)), *argv,
          "--verify-all", "--trace", str(trace)]
     )
     expected = golden_solve[key]
@@ -74,7 +82,7 @@ def test_solve_under_optimize_matches_golden(key, golden_solve, tmp_path):
 def test_mnw_under_optimize_matches_normal_mode(key, method, golden_solve, tmp_path):
     name, _ = solve_cases()[key]
     argv = ["mnw", str(instance_file(tmp_path, name)), "--method", method]
-    got = run_optimized(argv)
+    got = run_optimized(["-m", "fairdiv.cli", *argv])
     out = io.StringIO()
     with redirect_stdout(out):
         assert cli.main(argv) == 0
@@ -89,7 +97,18 @@ def test_check_instance_under_optimize_matches_golden(case, tmp_path):
     factory, extra = CHECK_CASES[case]
     path = tmp_path / "check.json"
     save_instance(factory(), path)
-    got = run_optimized(["check-instance", str(path), *extra])
+    got = run_optimized(["-m", "fairdiv.cli", "check-instance", str(path), *extra])
     assert got.returncode == expected["code"]
     assert got.stderr == expected["stderr"]
     assert got.stdout == _dump(expected["stdout"])
+
+
+def test_restart_under_optimize_matches_golden():
+    script = (
+        "import json, test_golden; "
+        f"print(json.dumps([test_golden.run_restart(seed) for seed in {RESTART_SEEDS!r}]))"
+    )
+    got = run_optimized(["-c", script])
+    assert got.returncode == 0 and got.stderr == ""
+    golden = json.loads((GOLDEN / "restart.json").read_text())
+    assert json.loads(got.stdout) == [golden[f"seed {seed}"] for seed in RESTART_SEEDS]

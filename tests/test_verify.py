@@ -325,9 +325,9 @@ def test_gmms_agent_count_cap():
     n = 7
     inst = random_additive(n, 3, 5, seed=1)
     allocation = Allocation.from_masks((0b001, 0b010, 0b100, 0, 0, 0, 0), 3)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"cap Caps\.group_share_agents = 6$"):
         is_alpha_gmms(inst, allocation, Fraction(1))
-    report = is_alpha_gmms(inst, allocation, Fraction(1), allow_large=True)
+    report = is_alpha_gmms(inst, allocation, Fraction(1), Caps(group_share_agents=7))
     assert report.prop == "alpha_gmms"
 
 

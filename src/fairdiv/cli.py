@@ -39,7 +39,6 @@ from . import additive_alg, completion, instances, oracle, subadditive_alg, veri
 ALGORITHMS = ("additive", "additive-complete", "additive-poly",
               "subadditive", "subadditive-complete")
 SOLVE_ALGS = completion.ALGORITHMS
-CHECK_NAMES = ("efx", "ef1", "mnw", "separated", "mms", "pmms", "gmms")
 
 EXIT_OK = 0
 EXIT_MALFORMED = 2
@@ -222,7 +221,7 @@ def _cmd_solve(args) -> int:
         if result.restart is None:
             data["partial"] = _allocation_json(result.partial)
         else:
-            data["efx_level"] = format_ratio(result.reports[0].params["alpha"])
+            data["efx_level"] = format_ratio(result.claims["efx"])
         if args.alg != "additive":
             data["swaps"] = [list(s) for s in result.swaps]
     data["allocation"] = _allocation_json(final)
@@ -247,38 +246,25 @@ def _cmd_verify(args) -> int:
     allocation = _load_allocation(args.allocation, instance)
     names = [part.strip() for part in args.checks.split(",") if part.strip()]
     for name in names:
-        if name not in CHECK_NAMES:
+        if name not in verify.CHECK_NAMES:
             raise MalformedInstanceError(
-                f"unknown check {name!r}; valid names: {', '.join(CHECK_NAMES)}"
+                f"unknown check {name!r}; valid names: {', '.join(verify.CHECK_NAMES)}"
             )
     alpha = parse_ratio(args.alpha)
     reports = []
     for name in names:
-        if name == "efx":
-            reports.append(verify.is_alpha_efx(instance, allocation, alpha))
-        elif name == "ef1":
-            reports.append(verify.is_ef1(instance, allocation))
-        elif name == "mnw":
-            if args.beta is None:
-                raise MalformedInstanceError("the mnw check needs --beta")
-            beta = parse_ratio(args.beta)
+        level, reference = alpha, None
+        flag = {"mnw": "beta", "separated": "gamma"}.get(name)
+        if flag is not None:
+            if getattr(args, flag) is None:
+                raise MalformedInstanceError(f"the {name} check needs --{flag}")
+            level = parse_ratio(getattr(args, flag))
+        if name == "mnw":
             if args.reference_product is not None:
                 reference = parse_ratio(args.reference_product)
             else:
                 reference = oracle.exact_mnw(instance, caps).product
-            reports.append(verify.is_beta_mnw(instance, allocation, beta, reference))
-        elif name == "separated":
-            if args.gamma is None:
-                raise MalformedInstanceError("the separated check needs --gamma")
-            reports.append(
-                verify.is_gamma_separated(instance, allocation, parse_ratio(args.gamma))
-            )
-        elif name == "mms":
-            reports.append(verify.is_alpha_mms(instance, allocation, alpha, caps))
-        elif name == "pmms":
-            reports.append(verify.is_alpha_pmms(instance, allocation, alpha, caps))
-        elif name == "gmms":
-            reports.append(verify.is_alpha_gmms(instance, allocation, alpha, caps))
+        reports.append(verify.check(name, instance, allocation, level, reference, caps))
     data = {
         "checks": [report.to_json_dict() for report in reports],
         "ok": all(report.passed for report in reports),
@@ -337,8 +323,8 @@ def _default_algorithms(instance: Instance) -> list[str]:
     return []
 
 
-# CSV column -> the property of the run's report that fills it
-REPORT_COLUMNS = {"efx": "alpha_efx", "ef1": "ef1", "mnw_bound": "beta_mnw"}
+# CSV column -> the claim whose verdict fills it; no other claim is checked
+CLAIM_COLUMNS = {"efx": "efx", "ef1": "ef1", "mnw_bound": "mnw"}
 
 
 def _sweep_row(instance: Instance, alpha: Fraction, algorithm: str, caps: Caps, optimum) -> dict:
@@ -347,13 +333,13 @@ def _sweep_row(instance: Instance, alpha: Fraction, algorithm: str, caps: Caps, 
     name = algorithm.removesuffix("-complete")
     try:
         result = completion.run(name, instance, alpha, name != algorithm, caps, optimum)
+        verdicts = {column: result.report(claim).verdict
+                    for column, claim in CLAIM_COLUMNS.items() if claim in result.claims}
     except (ValueError, MalformedInstanceError, CapacityError, IterationBoundError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    verdicts = {report.prop: report.verdict for report in result.reports}
-    for column, prop in REPORT_COLUMNS.items():
-        row[column] = verdicts.get(prop, "")
+    row.update(verdicts)
     optimum_product = result.mnw.product
     if optimum_product > 0:
         ratio = nash_product(instance, result.allocation) / optimum_product
@@ -513,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--allocation", required=True, help="allocation JSON file")
     p.add_argument("--checks", default="efx,ef1",
-                   help=f"comma list from {{{','.join(CHECK_NAMES)}}}")
+                   help=f"comma list from {{{','.join(verify.CHECK_NAMES)}}}")
     p.add_argument("--alpha", default="1", help="level for efx/mms/pmms/gmms")
     p.add_argument("--beta", default=None, help="level for the mnw check")
     p.add_argument("--reference-product", default=None,

@@ -7,11 +7,13 @@ singleton_swaps lets any agent trade their bundle for a single leftover item
 they like better, which ends with no agent preferring any leftover item.
 
 run chains a start, a matching and an optional completion for each
-algorithm, and returns the fairness/efficiency reports the run claims.
+algorithm, and returns the fairness/efficiency guarantees the run claims,
+checked only when their reports are asked for.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,21 +26,11 @@ from .core import (
     DEFAULT_CAPS,
     Instance,
     IterationBoundError,
-    format_ratio,
     iter_mask,
     nash_product,
 )
 from .oracle import MnwResult, exact_mnw
-from .verify import (
-    GuaranteeReport,
-    is_alpha_efx,
-    is_alpha_gmms,
-    is_alpha_pmms,
-    is_beta_mnw,
-    is_ef1,
-    is_gamma_separated,
-    within_golden_threshold,
-)
+from .verify import GuaranteeReport, check, within_golden_threshold
 from . import additive_alg, subadditive_alg
 
 
@@ -186,32 +178,32 @@ def singleton_swaps(
 
 @dataclass(frozen=True)
 class PipelineResult:
+    instance: Instance
     alpha: Fraction
     mnw: MnwResult | None   # the optimum; None when the caller gave the start
     partial: Allocation
     allocation: Allocation
-    reports: tuple[GuaranteeReport, ...]
+    claims: dict   # verify.CHECK_NAMES name -> level, in report order
     swaps: tuple[tuple[int, int], ...]
     events: tuple[tuple, ...]
     state: object = None   # matching-stage trace holder, when kept
-    start_product: Fraction | None = None
+    start_product: Fraction | None = None   # the mnw claim's reference
     restart: additive_alg.RestartResult | None = None   # additive-poly only
+    caps: Caps = DEFAULT_CAPS
+
+    def report(self, name: str) -> GuaranteeReport:
+        """Check the claim `name` on the final allocation now."""
+        return check(name, self.instance, self.allocation, self.claims[name],
+                     self.start_product, self.caps)
+
+    @functools.cached_property
+    def reports(self) -> tuple[GuaranteeReport, ...]:
+        """Every claim's report, checked on first access."""
+        return tuple(self.report(name) for name in self.claims)
 
     @property
     def ok(self) -> bool:
         return all(report.passed for report in self.reports)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": format_ratio(self.alpha),
-            "optimal_product": None if self.mnw is None else format_ratio(self.mnw.product),
-            "partial": [sorted(bundle.items()) for bundle in self.partial.bundles],
-            "allocation": [sorted(bundle.items()) for bundle in self.allocation.bundles],
-            "reports": [report.to_json_dict() for report in self.reports],
-            "swaps": [list(swap) for swap in self.swaps],
-            "events": [list(event) for event in self.events],
-            "ok": self.ok,
-        }
 
 
 ALGORITHMS = ("additive", "subadditive", "additive-poly")
@@ -227,7 +219,7 @@ def run(
     start: Allocation | None = None,
     beta: Fraction = Fraction(1),
 ) -> PipelineResult:
-    """Start, matching, optional completion, then the claimed reports.
+    """Start, matching and optional completion, with the claims they make.
 
     algorithm is one of ALGORITHMS. The start is the max-product allocation
     from `optimum()` (default: exact_mnw), called only once the run's own
@@ -237,7 +229,8 @@ def run(
     1/2-EFX for a completed additive-poly) and a (1/(alpha+1))**n product
     bound against the start. additive adds gamma=alpha separation, or once
     completed EF1, alpha/(alpha**2+1) groupwise and alpha pairwise shares;
-    completing it requires alpha**2 + alpha <= 1.
+    completing it requires alpha**2 + alpha <= 1. No claim is checked here:
+    the result checks them when its reports are read.
     """
     alpha = Fraction(alpha)
     if algorithm not in ALGORITHMS:
@@ -273,24 +266,20 @@ def run(
         if restart is not None:
             efx_level = min(alpha, Fraction(1, 2))
 
-    start_product = nash_product(instance, start)
-    efx = is_alpha_efx(instance, final, efx_level)
-    product_bound = is_beta_mnw(instance, final, 1 / (alpha + 1), start_product)
     if algorithm != "additive":
-        reports = (efx, product_bound)
+        claims = {"efx": efx_level, "mnw": 1 / (alpha + 1)}
     elif complete:
-        reports = (
-            efx,
-            is_ef1(instance, final),
-            product_bound,
-            is_alpha_gmms(instance, final, alpha / (alpha**2 + 1), caps),
-            is_alpha_pmms(instance, final, alpha, caps),
-        )
+        claims = {"efx": alpha, "ef1": None, "mnw": 1 / (alpha + 1),
+                  "gmms": alpha / (alpha**2 + 1), "pmms": alpha}
     else:
-        reports = (efx, product_bound, is_gamma_separated(instance, final, alpha))
-    return PipelineResult(
-        alpha, mnw, partial, final, reports, swaps, events, state, start_product, restart
-    )
+        claims = {"efx": alpha, "mnw": 1 / (alpha + 1), "separated": alpha}
+    return PipelineResult(instance, alpha, mnw, partial, final, claims, swaps, events,
+                          state, nash_product(instance, start), restart, caps)
+
+
+def _checked(result: PipelineResult) -> PipelineResult:
+    result.reports  # checks every claim now and caches the reports
+    return result
 
 
 def pipeline_additive(
@@ -302,7 +291,7 @@ def pipeline_additive(
     alpha-EFX, EF1, a (1/(alpha+1))**n product bound against the optimum,
     alpha/(alpha**2+1) groupwise shares, and alpha pairwise shares.
     """
-    return run("additive", instance, alpha, True, caps)
+    return _checked(run("additive", instance, alpha, True, caps))
 
 
 def pipeline_subadditive(
@@ -314,4 +303,4 @@ def pipeline_subadditive(
     The complete result is checked for alpha-EFX and a (1/(alpha+1))**n
     product bound against the optimum.
     """
-    return run("subadditive", instance, alpha, True, caps)
+    return _checked(run("subadditive", instance, alpha, True, caps))

@@ -26,6 +26,7 @@ from .core import (
 )
 
 FAMILIES = ("example1", "theorem4", "theorem5", "random_additive", "xos", "budget_additive")
+_RATIO_PARAMS = ("alpha", "eps")   # every other generator parameter is an int
 
 
 def example1() -> Instance:
@@ -177,21 +178,27 @@ class GeneratorSpec:
                 return v
         return default
 
+    def require(self, *names: str, **defaults) -> list:
+        """The named parameters as ratios (alpha, eps) or ints; only a name
+        given a default may be missing."""
+        out = []
+        for name in names:
+            value = self.param(name, defaults.get(name))
+            if value is None:
+                raise MalformedInstanceError(f"family {self.family!r} needs parameter {name!r}")
+            try:
+                out.append(parse_ratio(value) if name in _RATIO_PARAMS else int(value))
+            except (TypeError, ValueError, MalformedInstanceError):
+                kind = "a ratio" if name in _RATIO_PARAMS else "an integer"
+                raise MalformedInstanceError(f"family {self.family!r} parameter {name!r} "
+                                             f"must be {kind}, got {value!r}") from None
+        return out
+
     def instance_id(self) -> str:
         if not self.params:
             return self.family
         inner = ",".join(f"{k}={v}" for k, v in self.params)
         return f"{self.family}({inner})"
-
-
-def _require(spec: GeneratorSpec, *names: str) -> list:
-    out = []
-    for name in names:
-        value = spec.param(name)
-        if value is None:
-            raise MalformedInstanceError(f"family {spec.family!r} needs parameter {name!r}")
-        out.append(value)
-    return out
 
 
 def generate(spec: GeneratorSpec) -> Instance:
@@ -200,21 +207,15 @@ def generate(spec: GeneratorSpec) -> Instance:
     if fam == "example1":
         return example1()
     if fam == "theorem4":
-        alpha, eps, n = _require(spec, "alpha", "eps", "n")
-        return additive_gap_instance(parse_ratio(alpha), parse_ratio(eps), int(n))
+        return additive_gap_instance(*spec.require("alpha", "eps", "n"))
     if fam == "theorem5":
-        (big_n,) = _require(spec, "N")
-        return monotone_gap_instance(int(big_n))
+        return monotone_gap_instance(*spec.require("N"))
     if fam == "random_additive":
-        n, m, max_value, seed = _require(spec, "n", "m", "max_value", "seed")
-        return random_additive(int(n), int(m), int(max_value), int(seed))
+        return random_additive(*spec.require("n", "m", "max_value", "seed"))
     if fam == "xos":
-        n, m, seed = _require(spec, "n", "m", "seed")
-        clauses = int(spec.param("clauses", 3))
-        return xos(int(n), int(m), clauses, int(seed))
+        return xos(*spec.require("n", "m", "clauses", "seed", clauses=3))
     if fam == "budget_additive":
-        n, m, cap, seed = _require(spec, "n", "m", "cap", "seed")
-        return budget_additive(int(n), int(m), int(cap), int(seed))
+        return budget_additive(*spec.require("n", "m", "cap", "seed"))
     raise MalformedInstanceError(f"unknown generator family {fam!r}")
 
 
@@ -245,6 +246,8 @@ def instance_from_dict(data: dict, caps: Caps = DEFAULT_CAPS) -> Instance:
     n, m = data["n"], data["m"]
     if not isinstance(n, int) or not isinstance(m, int):
         raise MalformedInstanceError("n and m must be integers")
+    if m < 0:  # before any 1 << m
+        raise MalformedInstanceError(f"negative item count m={m}")
     raw_vals = data["valuations"]
     if not isinstance(raw_vals, list) or len(raw_vals) != n:
         raise MalformedInstanceError(f"expected a list of {n} valuations")

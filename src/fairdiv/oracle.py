@@ -254,14 +254,12 @@ def certify_impossibility(
     is exhaustive search over one concrete instance, not a symbolic proof.
     """
     if spec.family == "theorem4":
-        alpha = Fraction(str(spec.param("alpha")))
-        eps = Fraction(str(spec.param("eps")))
-        n = int(spec.param("n"))
+        alpha, eps, n = spec.require("alpha", "eps", "n")
         instance = generate(spec)
         expected_mnw = (1 + 1 / alpha + eps) ** (n - 1)
         bound = (1 / alpha + eps) ** (n - 1)
     elif spec.family == "theorem5":
-        big_n = int(spec.param("N"))
+        (big_n,) = spec.require("N")
         instance = generate(spec)  # validates that N is a perfect square
         alpha = Fraction(2, math.isqrt(big_n))
         expected_mnw = Fraction(big_n)

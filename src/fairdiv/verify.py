@@ -373,3 +373,25 @@ def is_alpha_gmms(
                     },
                 )
     return GuaranteeReport("alpha_gmms", {"alpha": alpha})
+
+
+# check name -> checker(instance, allocation, level, reference, caps); each
+# lambda reads its checker from this module when called, so patches apply
+_CHECKS = {
+    "efx": lambda inst, alloc, level, ref, caps: is_alpha_efx(inst, alloc, level),
+    "ef1": lambda inst, alloc, level, ref, caps: is_ef1(inst, alloc),
+    "mnw": lambda inst, alloc, level, ref, caps: is_beta_mnw(inst, alloc, level, ref),
+    "separated": lambda inst, alloc, level, ref, caps: is_gamma_separated(inst, alloc, level),
+    "mms": lambda inst, alloc, level, ref, caps: is_alpha_mms(inst, alloc, level, caps),
+    "pmms": lambda inst, alloc, level, ref, caps: is_alpha_pmms(inst, alloc, level, caps),
+    "gmms": lambda inst, alloc, level, ref, caps: is_alpha_gmms(inst, alloc, level, caps),
+}
+CHECK_NAMES = tuple(_CHECKS)
+
+
+def check(name: str, instance: Instance, allocation: Allocation, level: Fraction | None = None,
+          reference: Fraction | None = None, caps: Caps = DEFAULT_CAPS) -> GuaranteeReport:
+    """The report of the check `name`, one of CHECK_NAMES, at `level`: alpha
+    for efx and the share checks, gamma for separated, beta against the
+    `reference` product for mnw; ef1 takes none."""
+    return _CHECKS[name](instance, allocation, level, reference, caps)

@@ -12,7 +12,10 @@ import json
 
 import pytest
 
-from fairdiv import cli, example1, oracle, save_instance, xos
+from fairdiv import cli, example1, oracle, random_additive, save_instance, verify, xos
+
+CHECKERS = ("is_alpha_efx", "is_ef1", "is_beta_mnw", "is_gamma_separated",
+            "is_alpha_mms", "is_alpha_pmms", "is_alpha_gmms")
 
 
 @pytest.fixture()
@@ -27,6 +30,23 @@ def xos_path(tmp_path):
     path = tmp_path / "xos.json"
     save_instance(xos(2, 5, clauses=3, seed=9), path)
     return str(path)
+
+
+@pytest.fixture()
+def seven_agents_path(tmp_path):
+    # n = 7 is over Caps.group_share_agents = 6
+    path = tmp_path / "seven.json"
+    save_instance(random_additive(7, 7, 10, seed=1), path)
+    return str(path)
+
+
+def refuse_checkers(monkeypatch, names=CHECKERS):
+    """Make each named checker raise where verify.check looks it up."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checker ran")
+
+    for name in names:
+        monkeypatch.setattr(verify, name, refuse)
 
 
 def write_allocation(tmp_path, bundles, name="alloc.json"):
@@ -121,6 +141,16 @@ def test_check_instance_caps_the_subadditivity_walk(xos_path, capsys):
     assert code == 0 and report["verdict"] == "pass"
     assert cli.main(["check-instance", xos_path, "--cap", "242"]) == 3
     assert "3^5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["table", "additive"])
+def test_check_instance_rejects_a_negative_item_count(tmp_path, capsys, kind):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(
+        {"n": 1, "m": -1, "class": "subadditive", "valuations": [{kind: {} if kind == "table" else []}]}
+    ))
+    assert cli.main(["check-instance", str(path)]) == 2
+    assert capsys.readouterr().err == "error: negative item count m=-1\n"
 
 
 @pytest.mark.parametrize("m", [17, 10**20])
@@ -289,6 +319,29 @@ def test_solve_rejects_start_flags_outside_polynomial(
     assert "additive-poly only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alg", cli.SOLVE_ALGS)
+@pytest.mark.parametrize("complete", [False, True])
+def test_solve_checks_nothing_without_verify_all(alg, complete, monkeypatch, example_path, capsys):
+    refuse_checkers(monkeypatch)
+    argv = ["solve", example_path, "--alg", alg, "--alpha", "1/2"]
+    code, data = run_json(capsys, argv + ["--complete"] * complete)
+    assert code == 0 and "reports" not in data and "ok" not in data
+
+
+def test_solve_skips_the_group_share_report_it_does_not_print(seven_agents_path, tmp_path, capsys):
+    argv = ["solve", seven_agents_path, "--alg", "additive", "--alpha", "1/2", "--complete"]
+    code, data = run_json(capsys, argv)
+    assert code == 0 and data["unallocated"] == []
+    # --verify-all still checks every claim before it writes anything
+    trace = tmp_path / "trace.json"
+    assert cli.main(argv + ["--verify-all", "--trace", str(trace)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not trace.exists()
+    assert captured.err == (
+        "error: group-share check over 7 agents exceeds the cap Caps.group_share_agents = 6\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -411,6 +464,35 @@ def test_sweep_rejects_bad_specs(example_path, tmp_path):
     }))
     assert cli.main(["sweep", "--spec", str(bad_alg), "--out",
                      str(tmp_path / "y.csv")]) == 2
+
+
+def test_sweep_rejects_a_generator_parameter_of_the_wrong_type(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"instances": [
+        {"family": "random_additive", "n": [2], "m": 3, "max_value": 10, "seed": 1},
+    ]}))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: family 'random_additive' parameter 'n' must be an integer, got [2]\n"
+    )
+
+
+def test_sweep_checks_only_the_claims_it_prints(tmp_path, monkeypatch, seven_agents_path):
+    refuse_checkers(monkeypatch, ("is_alpha_gmms", "is_alpha_pmms", "is_alpha_mms",
+                                  "is_gamma_separated"))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "instances": [seven_agents_path,
+                      {"family": "random_additive", "n": 3, "m": 5, "max_value": 10, "seed": 2}],
+        "alphas": ["0", "1/2"],
+    }))
+    out = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open(newline="")))
+    assert len(rows) == 2 * 2 * 3 and not any(row["error"] for row in rows)
+    for row in rows:
+        assert row["efx"] == row["mnw_bound"] == "pass"
+        assert row["ef1"] == ("pass" if row["algorithm"] == "additive-complete" else "")
 
 
 def test_sweep_solves_each_optimum_once(tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from fairdiv import (
     singleton_swaps,
     xos,
 )
+from fairdiv import completion
 from fairdiv.completion import run
 
 HALF = Fraction(1, 2)
@@ -210,19 +211,33 @@ def test_pipeline_subadditive_rejects_alpha_past_half():
         pipeline_subadditive(xos(2, 4, clauses=3, seed=3), Fraction(3, 5))
 
 
-def test_pipeline_result_json_shape():
-    result = pipeline_additive(example1(), HALF)
-    doc = result.to_json_dict()
-    assert sorted(doc) == [
-        "allocation", "alpha", "events", "ok", "optimal_product",
-        "partial", "reports", "swaps",
-    ]
-    assert doc["alpha"] == "1/2"
-    assert doc["ok"] is True
-    assert doc["optimal_product"] == "4"
-    assert all(r["verdict"] == "pass" for r in doc["reports"])
-    flat = [g for bundle in doc["allocation"] for g in bundle]
-    assert sorted(flat) == [0, 1, 2]
+def test_run_claims_without_checking_and_checks_on_first_access(monkeypatch):
+    calls = []
+    real_check = completion.check
+
+    def counting(name, *args, **kwargs):
+        calls.append(name)
+        return real_check(name, *args, **kwargs)
+
+    monkeypatch.setattr(completion, "check", counting)
+    third = Fraction(1, 3)
+    result = run("additive", random_additive(3, 5, 10, seed=8), third, True)
+    assert calls == []
+    assert result.claims == {
+        "efx": third, "ef1": None, "mnw": Fraction(3, 4),
+        "gmms": Fraction(3, 10), "pmms": third,
+    }
+    assert result.report("ef1").prop == "ef1" and calls == ["ef1"]
+    reports = result.reports
+    assert result.ok and result.reports is reports
+    assert calls == ["ef1", "efx", "ef1", "mnw", "gmms", "pmms"]
+    assert run("additive", example1(), HALF, False).claims == {
+        "efx": HALF, "mnw": Fraction(2, 3), "separated": HALF,
+    }
+    # the pipelines return results whose reports are already checked
+    calls.clear()
+    result = pipeline_subadditive(xos(2, 5, clauses=3, seed=9), HALF)
+    assert calls == ["efx", "mnw"] and result.ok and calls == ["efx", "mnw"]
 
 
 def _no_optimum():
@@ -248,7 +263,7 @@ def test_run_polynomial_from_a_given_start():
         optimum=_no_optimum, start=start, beta=Fraction(3, 4),
     )
     assert result.ok and result.allocation.complete
-    assert result.mnw is None and result.to_json_dict()["optimal_product"] is None
+    assert result.mnw is None
     assert result.start_product == 3
     assert result.restart is not None and result.restart.rounds >= 0
     # a completed restart run claims at most 1/2-EFX

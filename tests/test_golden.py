@@ -3,6 +3,8 @@
 tests/golden/solve.json maps each case of `solve_cases()` to what
 `fairdiv solve ... --verify-all --trace FILE` produced: the result JSON, the
 trace JSON (null when none was written), the exit code and the stderr text.
+The same runs without --verify-all check no claim and must print the same,
+minus the result's "reports" and "ok".
 tests/golden/sweep_*.csv hold the CSVs of the sweeps in `SWEEPS`. Each sweep
 names its instances by generator entry, so `instance_id` does not depend on
 file paths. tests/golden/check_instance.json maps each case of
@@ -290,7 +292,7 @@ def _dump(data) -> str:
     return "" if data is None else json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def run_solve(work: Path, name: str, argv: list[str]) -> dict:
+def run_solve(work: Path, name: str, argv: list[str], verify_all: bool = True) -> dict:
     """One solve run, as {"code", "result", "trace", "stderr"} with the raw
     result and trace text."""
     instance_path = work / f"{name}.json"
@@ -304,8 +306,8 @@ def run_solve(work: Path, name: str, argv: list[str]) -> dict:
     argv = [str(start_path) if arg == "START" else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(["solve", str(instance_path), *argv,
-                         "--verify-all", "--trace", str(trace_path)])
+        code = cli.main(["solve", str(instance_path), *argv, *["--verify-all"] * verify_all,
+                         "--trace", str(trace_path)])
     return {
         "code": code,
         "result": out.getvalue(),
@@ -361,6 +363,23 @@ def test_solve_matches_golden(key, golden_solve, tmp_path):
     assert got["code"] == expected["code"]
     assert got["stderr"] == expected["stderr"]
     assert got["result"] == _dump(expected["result"])
+    assert got["trace"] == _dump(expected["trace"])
+
+
+def unverified(result: dict | None) -> dict | None:
+    """A golden solve result as printed without --verify-all."""
+    if result is None:
+        return None
+    return {key: value for key, value in result.items() if key not in ("reports", "ok")}
+
+
+@pytest.mark.parametrize("key", sorted(solve_cases()))
+def test_solve_without_verify_all_matches_golden(key, golden_solve, tmp_path):
+    expected = golden_solve[key]
+    got = run_solve(tmp_path, *solve_cases()[key], verify_all=False)
+    assert got["code"] == expected["code"]
+    assert got["stderr"] == expected["stderr"]
+    assert got["result"] == _dump(unverified(expected["result"]))
     assert got["trace"] == _dump(expected["trace"])
 
 

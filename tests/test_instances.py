@@ -178,6 +178,19 @@ def test_generator_spec_rejects_unknown_family_and_missing_params():
         generate(GeneratorSpec("random_additive", (("n", 2),)))
 
 
+@pytest.mark.parametrize("params, message", [
+    ((("n", [2]), ("m", 3), ("max_value", 10), ("seed", 1)),
+     "family 'random_additive' parameter 'n' must be an integer, got [2]"),
+    ((("n", 2), ("m", "three"), ("max_value", 10), ("seed", 1)),
+     "family 'random_additive' parameter 'm' must be an integer, got 'three'"),
+    ((("n", 2), ("m", 3), ("seed", 1)), "family 'random_additive' needs parameter 'max_value'"),
+])
+def test_generator_parameters_are_named_when_wrong(params, message):
+    with pytest.raises(MalformedInstanceError) as exc:
+        generate(GeneratorSpec("random_additive", params))
+    assert str(exc.value) == message
+
+
 def test_generator_spec_ratio_parameters():
     spec = GeneratorSpec("theorem4", (("alpha", "1/2"), ("eps", "1/100"), ("n", 2)))
     inst = generate(spec)

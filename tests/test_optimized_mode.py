@@ -3,7 +3,8 @@
 Proof obligations must not live in asserts, so a run with asserts removed
 has to print exactly what the golden files pinned: each case runs
 `python -O -m fairdiv.cli` in a subprocess and compares its output byte for
-byte with tests/golden/solve.json or tests/golden/check_instance.json. The
+byte with tests/golden/solve.json or tests/golden/check_instance.json (a
+solve without --verify-all prints the golden result minus its reports). The
 additive matchings replay a few seeds of tests/golden/restart.json the same
 way, with the steal, take and improved steps among them.
 """
@@ -22,7 +23,7 @@ import pytest
 
 import fairdiv
 from fairdiv import cli, save_instance
-from test_golden import CHECK_CASES, GOLDEN, INSTANCES, _dump, solve_cases
+from test_golden import CHECK_CASES, GOLDEN, INSTANCES, _dump, solve_cases, unverified
 
 SRC = Path(fairdiv.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
@@ -75,6 +76,14 @@ def test_solve_under_optimize_matches_golden(key, golden_solve, tmp_path):
     assert got.stderr == expected["stderr"]
     assert got.stdout == _dump(expected["result"])
     assert (trace.read_text() if trace.exists() else "") == _dump(expected["trace"])
+
+
+def test_solve_without_verify_all_under_optimize_matches_golden(golden_solve, tmp_path):
+    key = CASES[1]
+    name, argv = solve_cases()[key]
+    got = run_optimized(["-m", "fairdiv.cli", "solve", str(instance_file(tmp_path, name)), *argv])
+    assert got.returncode == 0 and got.stderr == ""
+    assert got.stdout == _dump(unverified(golden_solve[key]["result"]))
 
 
 @pytest.mark.parametrize("method", ["plain", "auto"])

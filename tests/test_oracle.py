@@ -249,6 +249,21 @@ def test_certificates_reject_other_families():
         certify_impossibility(GeneratorSpec("example1"))
 
 
+@pytest.mark.parametrize("spec, message", [
+    (GeneratorSpec("theorem5"), "family 'theorem5' needs parameter 'N'"),
+    (GeneratorSpec("theorem5", (("N", None),)), "family 'theorem5' needs parameter 'N'"),
+    (GeneratorSpec("theorem4", (("alpha", "1/2"), ("n", 2))), "family 'theorem4' needs parameter 'eps'"),
+    (GeneratorSpec("theorem4", (("alpha", "1/2"), ("eps", "tiny"), ("n", 2))),
+     "family 'theorem4' parameter 'eps' must be a ratio, got 'tiny'"),
+    (GeneratorSpec("theorem4", (("alpha", "1/2"), ("eps", "1/10"), ("n", [2]))),
+     "family 'theorem4' parameter 'n' must be an integer, got [2]"),
+])
+def test_certificates_name_a_missing_or_malformed_parameter(spec, message):
+    with pytest.raises(MalformedInstanceError) as exc:
+        certify_impossibility(spec)
+    assert str(exc.value) == message
+
+
 def test_certificate_json_shape():
     cert = certify_impossibility(GeneratorSpec("theorem5", (("N", 9),)))
     data = cert.to_json_dict()

@@ -30,6 +30,7 @@ from fairdiv import (
     is_ef1,
     is_gamma_separated,
     mms_share,
+    verify,
     random_additive,
     within_golden_threshold,
 )
@@ -338,3 +339,24 @@ def test_guarantee_report_json():
     assert data["property"] == "alpha_efx"
     assert data["params"] == {"alpha": "1"}
     assert data["verdict"] in ("pass", "fail")
+
+
+def test_check_runs_the_checker_behind_each_name():
+    instance = example1()
+    allocation = Allocation.from_masks((0b100, 0b011), 3)
+    alpha = Fraction(1, 2)
+    expected = {
+        "efx": is_alpha_efx(instance, allocation, alpha),
+        "ef1": is_ef1(instance, allocation),
+        "mnw": is_beta_mnw(instance, allocation, alpha, Fraction(5)),
+        "separated": is_gamma_separated(instance, allocation, alpha),
+        "mms": is_alpha_mms(instance, allocation, alpha),
+        "pmms": is_alpha_pmms(instance, allocation, alpha),
+        "gmms": is_alpha_gmms(instance, allocation, alpha),
+    }
+    assert verify.CHECK_NAMES == tuple(expected)
+    for name, report in expected.items():
+        reference = Fraction(5) if name == "mnw" else None
+        assert verify.check(name, instance, allocation, alpha, reference) == report
+    with pytest.raises(CapacityError):
+        verify.check("pmms", instance, allocation, alpha, caps=Caps(enumeration=3))

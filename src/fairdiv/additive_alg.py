@@ -24,7 +24,7 @@ from .core import (
     IterationBoundError,
     iter_mask,
 )
-from .verify import efx_violation
+from .verify import _check_alpha, efx_violation
 
 SELF = "self"
 STEAL = "steal"
@@ -87,9 +87,7 @@ class RestartResult:
 
 
 def _require_additive_complete(instance: Instance, start: Allocation, alpha: Fraction) -> Fraction:
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    alpha = _check_alpha(alpha)
     if not instance.is_additive or instance.declared_class != "additive":
         raise ValueError("this matching runs on additive instances only")
     if start.n != instance.n or start.m != instance.m:
@@ -202,29 +200,6 @@ def improving_sequence(
         assert holder not in seq, "holder walk revisited an agent"
         seq.append(holder)
         assert len(seq) <= n
-
-
-def touching_sequence(trace, agent: int) -> tuple[int, ...]:
-    """Diagnostic: follow each agent's most recent thief backwards in time.
-
-    Starts at `agent`; each next entry is the i_star of the last removing
-    steal aimed at the current agent, looking only at earlier iterations.
-    Ends at an agent whose bundle was never touched before that point.
-    """
-    seq = [agent]
-    horizon = len(trace)
-    while True:
-        cur = seq[-1]
-        last = None
-        for idx in range(horizon):
-            step = trace[idx]
-            if step.branch == STEAL and step.removed and step.j_star == cur:
-                last = idx
-        if last is None:
-            return tuple(seq)
-        assert trace[last].i_star not in seq, "touching walk revisited an agent"
-        seq.append(trace[last].i_star)
-        horizon = last
 
 
 def _below_witness_threshold(

@@ -101,24 +101,25 @@ def _items(mask: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # gen
 
-def _cmd_gen(args) -> int:
-    params: list[tuple[str, int | str]] = []
-    if args.alpha is not None:
-        params.append(("alpha", format_ratio(parse_ratio(args.alpha))))
-    if args.eps is not None:
-        params.append(("eps", format_ratio(parse_ratio(args.eps))))
-    for name, value in (
-        ("n", args.n),
-        ("m", args.m),
-        ("N", args.big_n),
-        ("seed", args.seed),
-        ("max_value", args.max_value),
-        ("clauses", args.clauses),
-        ("cap", args.budget),
-    ):
+# generator parameter -> the argparse dest of its flag
+SPEC_FLAGS = {"alpha": "alpha", "eps": "eps", "n": "n", "m": "m", "N": "big_n", "seed": "seed",
+              "max_value": "max_value", "clauses": "clauses", "cap": "budget"}
+
+
+def _spec_from_flags(args, names=tuple(SPEC_FLAGS)) -> instances.GeneratorSpec:
+    """The GeneratorSpec of --family and the given flags; unset flags are left out."""
+    params = []
+    for name in names:
+        value = getattr(args, SPEC_FLAGS[name])
         if value is not None:
+            if name in instances._RATIO_PARAMS:
+                value = format_ratio(parse_ratio(value))
             params.append((name, value))
-    spec = instances.GeneratorSpec(args.family, tuple(params))
+    return instances.GeneratorSpec(args.family, tuple(params))
+
+
+def _cmd_gen(args) -> int:
+    spec = _spec_from_flags(args)
     instance = instances.generate(spec)
     data = instances.instance_to_dict(instance)
     data["generator"] = spec.to_dict()
@@ -299,13 +300,10 @@ def _sweep_instances(spec_data, caps) -> list[tuple[str, str, Instance]]:
         raise MalformedInstanceError('sweep spec needs a non-empty "instances" list')
     out = []
     for entry in raw:
-        if isinstance(entry, str):
-            instance = instances.load_instance(entry, caps)
-            out.append((entry, "file", instance))
-        elif isinstance(entry, dict) and "file" in entry:
-            instance = instances.load_instance(entry["file"], caps)
-            out.append((entry["file"], "file", instance))
-        elif isinstance(entry, dict) and "family" in entry:
+        path = entry.get("file") if isinstance(entry, dict) else entry
+        if isinstance(path, str):
+            out.append((path, "file", instances.load_instance(path, caps)))
+        elif isinstance(entry, dict) and "family" in entry and "file" not in entry:
             spec = instances.GeneratorSpec.from_dict(entry)
             out.append((spec.instance_id(), spec.family, instances.generate(spec)))
         else:
@@ -412,20 +410,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_certify(args) -> int:
     caps = _effective_caps(args)
-    params: list[tuple[str, int | str]] = []
     if args.family == "theorem4":
         if args.alpha is None or args.eps is None or args.n is None:
             raise MalformedInstanceError("theorem4 needs --alpha, --eps, and --n")
-        params = [
-            ("alpha", format_ratio(parse_ratio(args.alpha))),
-            ("eps", format_ratio(parse_ratio(args.eps))),
-            ("n", args.n),
-        ]
+        spec = _spec_from_flags(args, ("alpha", "eps", "n"))
     else:
         if args.big_n is None:
             raise MalformedInstanceError("theorem5 needs --N")
-        params = [("N", args.big_n)]
-    spec = instances.GeneratorSpec(args.family, tuple(params))
+        spec = _spec_from_flags(args, ("N",))
     certificate = oracle.certify_impossibility(spec, caps)
     _emit(certificate.to_json_dict(), args.out)
     return EXIT_OK if certificate.verified else EXIT_VIOLATION

@@ -153,10 +153,6 @@ class Bundle:
             raise ValueError(f"negative bundle mask: {self.mask}")
 
     @classmethod
-    def of(cls, *items: int) -> "Bundle":
-        return cls(mask_of(items))
-
-    @classmethod
     def from_items(cls, items) -> "Bundle":
         return cls(mask_of(items))
 
@@ -175,11 +171,6 @@ class Bundle:
     def __contains__(self, g: int) -> bool:
         return g >= 0 and (self.mask >> g) & 1 == 1
 
-    def add(self, g: int) -> "Bundle":
-        if g < 0:
-            raise ValueError(f"negative item index: {g}")
-        return Bundle(self.mask | (1 << g))
-
     def remove(self, g: int) -> "Bundle":
         """Bundle minus one item; removing an absent item is a no-op."""
         if g < 0:
@@ -189,23 +180,8 @@ class Bundle:
     def union(self, other: "Bundle") -> "Bundle":
         return Bundle(self.mask | other.mask)
 
-    def difference(self, other: "Bundle") -> "Bundle":
-        return Bundle(self.mask & ~other.mask)
-
-    def intersection(self, other: "Bundle") -> "Bundle":
-        return Bundle(self.mask & other.mask)
-
-    def isdisjoint(self, other: "Bundle") -> bool:
-        return self.mask & other.mask == 0
-
-    def issubset(self, other: "Bundle") -> bool:
-        return self.mask & ~other.mask == 0
-
     def __or__(self, other: "Bundle") -> "Bundle":
         return self.union(other)
-
-    def __sub__(self, other: "Bundle") -> "Bundle":
-        return self.difference(other)
 
     def __repr__(self) -> str:
         return f"Bundle{self.items()!r}"
@@ -253,9 +229,6 @@ class AdditiveValuation:
             total += self.item_values[g]
         return total
 
-    def value(self, bundle: Bundle) -> Fraction:
-        return self.value_mask(bundle.mask)
-
 
 @dataclass(frozen=True)
 class ExplicitValuation:
@@ -286,9 +259,6 @@ class ExplicitValuation:
             raise MalformedInstanceError(
                 f"explicit valuation is missing a table entry for mask {mask}"
             ) from None
-
-    def value(self, bundle: Bundle) -> Fraction:
-        return self.value_mask(bundle.mask)
 
 
 Valuation = AdditiveValuation | ExplicitValuation
@@ -384,9 +354,6 @@ class Instance:
             raise ValueError(f"bundle mask {mask} out of range for m={self.m}")
         return self.valuations[agent].value_mask(mask)
 
-    def value(self, agent: int, bundle: Bundle) -> Fraction:
-        return self.value_mask(agent, bundle.mask)
-
 
 # ---------------------------------------------------------------------------
 # allocations
@@ -436,11 +403,6 @@ class Allocation:
     def masks(self) -> tuple[int, ...]:
         return tuple(b.mask for b in self.bundles)
 
-    def replace(self, agent: int, bundle: Bundle) -> "Allocation":
-        bundles = list(self.bundles)
-        bundles[agent] = bundle
-        return Allocation(tuple(bundles), self.m)
-
 
 def nash_product(instance: Instance, allocation: Allocation) -> Fraction:
     """Product of every agent's value for their own bundle (the n-th power of
@@ -449,7 +411,7 @@ def nash_product(instance: Instance, allocation: Allocation) -> Fraction:
         raise ValueError(f"allocation has {allocation.n} bundles, instance has n={instance.n}")
     prod = Fraction(1)
     for i, b in enumerate(allocation.bundles):
-        prod *= instance.value(i, b)
+        prod *= instance.value_mask(i, b.mask)
     return prod
 
 

@@ -186,12 +186,17 @@ class GeneratorSpec:
             value = self.param(name, defaults.get(name))
             if value is None:
                 raise MalformedInstanceError(f"family {self.family!r} needs parameter {name!r}")
+            ratio = name in _RATIO_PARAMS
             try:
-                out.append(parse_ratio(value) if name in _RATIO_PARAMS else int(value))
+                parsed = parse_ratio(value) if ratio else int(value)
             except (TypeError, ValueError, MalformedInstanceError):
-                kind = "a ratio" if name in _RATIO_PARAMS else "an integer"
+                parsed = None
+            # int() would truncate a float or a bool instead of rejecting it
+            if parsed is None or not ratio and isinstance(value, (bool, float)):
+                kind = "a ratio" if ratio else "an integer"
                 raise MalformedInstanceError(f"family {self.family!r} parameter {name!r} "
-                                             f"must be {kind}, got {value!r}") from None
+                                             f"must be {kind}, got {value!r}")
+            out.append(parsed)
         return out
 
     def instance_id(self) -> str:

@@ -21,9 +21,10 @@ from .core import (
     Instance,
     check_enumeration,
     format_ratio,
+    full_mask,
 )
 from .instances import GeneratorSpec, generate
-from .verify import efx_violation
+from .verify import _check_alpha, efx_violation
 
 MNW_METHODS = ("auto", "plain", "branch-and-bound")
 
@@ -85,6 +86,9 @@ def exact_mnw(
 
     n, m = instance.n, instance.m
     check_enumeration(n**m, f"max-product search over n^m = {n}^{m}", caps)
+    if n == 1:  # one complete allocation; the walk would recurse m deep to find it
+        value = instance.valuations[0].value_mask(full_mask(m))
+        return MnwResult(Allocation.from_masks((full_mask(m),), m), value, int(value > 0), 1)
     scale, values = instance.scaled_values
     prune = method == "branch-and-bound"
     agents = range(n)
@@ -170,9 +174,7 @@ def best_alpha_efx_product(
     Returns the product and the first maximizing allocation in assignment
     order (per item: agent 0, .., agent n-1, unallocated).
     """
-    alpha = Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    alpha = _check_alpha(alpha)
     n, m = instance.n, instance.m
     check_enumeration((n + 1) ** m, f"alpha-EFX search over (n+1)^m = {n + 1}^{m}", caps)
     vals = instance.valuations

@@ -308,51 +308,3 @@ def _minimal_seeker_subset(r_mask: int, seekers) -> tuple[int, int]:
             if found:
                 return s_mask, found[0]
     raise AssertionError("no seeker subset found although the full set had one")
-
-
-def chain_cycle_decomposition(
-    matches: tuple[Match, ...] | list[Match],
-) -> list[tuple[str, tuple[int, ...]]]:
-    """Group agents by following white matches from agent to bundle owner.
-
-    Every agent sits in exactly one structure: a path ending at an unmatched
-    agent ("chain-open"), a path ending at a blue-matched agent
-    ("chain-blue"), a self-match ("cycle-self"), or a longer white cycle
-    ("cycle"). Paths start at agents whose own bundle slot nobody holds.
-    """
-    n = len(matches)
-    succ: list[int | None] = [None] * n
-    holder_of: list[int | None] = [None] * n
-    for a, entry in enumerate(matches):
-        if entry is not None and entry[0] == WHITE:
-            succ[a] = entry[1]
-            if holder_of[entry[1]] is not None:
-                raise ValueError("two agents hold one bundle")
-            holder_of[entry[1]] = a
-
-    out: list[tuple[str, tuple[int, ...]]] = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start] or holder_of[start] is not None:
-            continue
-        seq = [start]
-        seen[start] = True
-        while succ[seq[-1]] is not None:
-            seq.append(succ[seq[-1]])
-            seen[seq[-1]] = True
-        tail = matches[seq[-1]]
-        out.append(("chain-open" if tail is None else "chain-blue", tuple(seq)))
-    for start in range(n):
-        if seen[start]:
-            continue
-        seq = [start]
-        seen[start] = True
-        while True:
-            nxt = succ[seq[-1]]
-            assert nxt is not None
-            if nxt == start:
-                break
-            seq.append(nxt)
-            seen[nxt] = True
-        out.append(("cycle-self" if len(seq) == 1 else "cycle", tuple(seq)))
-    return out

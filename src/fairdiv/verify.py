@@ -118,8 +118,8 @@ def is_alpha_efx(instance: Instance, allocation: Allocation, alpha: Fraction) ->
             "i": i,
             "j": j,
             "removed_item": g,
-            "own_value": instance.value(i, allocation.bundles[i]),
-            "other_value_less_item": instance.value(i, reduced),
+            "own_value": instance.value_mask(i, allocation.bundles[i].mask),
+            "other_value_less_item": instance.value_mask(i, reduced.mask),
         },
     )
 
@@ -131,14 +131,14 @@ def is_ef1(instance: Instance, allocation: Allocation) -> GuaranteeReport:
     """
     _check_allocation(instance, allocation)
     for i in range(instance.n):
-        own = instance.value(i, allocation.bundles[i])
+        own = instance.value_mask(i, allocation.bundles[i].mask)
         for j in range(instance.n):
             if i == j or not allocation.bundles[j]:
                 continue
             best = None
             best_g = None
             for g in allocation.bundles[j]:
-                reduced = instance.value(i, allocation.bundles[j].remove(g))
+                reduced = instance.value_mask(i, allocation.bundles[j].remove(g).mask)
                 if best is None or reduced < best:
                     best, best_g = reduced, g
             if best is not None and own < best:
@@ -166,7 +166,7 @@ def is_gamma_separated(
     _check_allocation(instance, allocation)
     pool = allocation.unallocated()
     for i in range(instance.n):
-        own = instance.value(i, allocation.bundles[i])
+        own = instance.value_mask(i, allocation.bundles[i].mask)
         for x in pool:
             single = instance.value_mask(i, 1 << x)
             if gamma * own < single:
@@ -296,7 +296,7 @@ def is_alpha_mms(
     everything = Bundle(full_mask(instance.m))
     for i in range(instance.n):
         share = mms_share(instance, i, instance.n, everything, caps)
-        own = instance.value(i, allocation.bundles[i])
+        own = instance.value_mask(i, allocation.bundles[i].mask)
         if own < alpha * share:
             return GuaranteeReport(
                 "alpha_mms",
@@ -317,7 +317,7 @@ def is_alpha_pmms(
     alpha = _check_alpha(alpha)
     _check_allocation(instance, allocation)
     for i in range(instance.n):
-        own = instance.value(i, allocation.bundles[i])
+        own = instance.value_mask(i, allocation.bundles[i].mask)
         for j in range(instance.n):
             if i == j:
                 continue
@@ -359,7 +359,7 @@ def is_alpha_gmms(
         pool = Bundle(pool_mask)
         for i in members:
             share = mms_share(instance, i, len(members), pool, caps)
-            own = instance.value(i, allocation.bundles[i])
+            own = instance.value_mask(i, allocation.bundles[i].mask)
             if own < alpha * share:
                 return GuaranteeReport(
                     "alpha_gmms",

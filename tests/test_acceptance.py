@@ -23,13 +23,13 @@ from fairdiv import (
     additive_efx_matching,
     available_bundles,
     certify_impossibility,
-    chain_cycle_decomposition,
     exact_mnw,
     generate,
     matching_with_restarts,
     pipeline_subadditive,
     subadditive_efx_matching,
 )
+from naive import chain_cycle_decomposition
 
 WHITE = "white"
 BLUE = "blue"

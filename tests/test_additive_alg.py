@@ -19,7 +19,6 @@ from fairdiv import (
     match_or_improve,
     matching_with_restarts,
     nash_product,
-    touching_sequence,
     xos,
 )
 from fairdiv.additive_alg import _envy_target
@@ -174,15 +173,6 @@ def test_improving_sequence_walks_holders():
     assert improving_sequence([1, 0], 1) == ((1, 0), "cycle")
     assert improving_sequence([None, None], 0) == ((0,), "unmatched")
     assert improving_sequence([0, None], 0) == ((0,), "cycle")
-
-
-def test_touching_sequence_tracks_last_thief():
-    inst, start = improvement_fixture()
-    _, state = additive_efx_matching(inst, start, Fraction(1))
-    seq = touching_sequence(state.trace, 0)
-    assert seq[0] == 0
-    # agent 0's bundle was last raided by agent 1, whose bundle was untouched
-    assert seq == (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,17 @@ def test_mnw_capacity_exit_code(example_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_one_agent_with_many_items_is_solved_without_a_walk(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    save_instance(random_additive(1, 3000, 10, seed=1), path)
+    code, doc = run_json(capsys, ["mnw", str(path)])
+    assert code == 0
+    assert doc["allocation"] == [list(range(3000))] and doc["ties"] == 1
+    code, doc = run_json(capsys, ["solve", str(path), "--alg", "additive", "--alpha", "1/2"])
+    assert code == 0
+    assert doc["allocation"] == [list(range(3000))]
+
+
 def test_nonpositive_cap_is_malformed(example_path):
     assert cli.main(["mnw", example_path, "--cap", "0"]) == 2
 
@@ -474,6 +485,15 @@ def test_sweep_rejects_a_generator_parameter_of_the_wrong_type(tmp_path, capsys)
     assert cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == (
         "error: family 'random_additive' parameter 'n' must be an integer, got [2]\n"
+    )
+
+
+def test_sweep_rejects_a_file_entry_that_is_not_a_path(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"instances": [{"file": None}]}))
+    assert cli.main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: each sweep instance must be a file path or a generator object\n"
     )
 
 

@@ -184,6 +184,10 @@ def test_generator_spec_rejects_unknown_family_and_missing_params():
     ((("n", 2), ("m", "three"), ("max_value", 10), ("seed", 1)),
      "family 'random_additive' parameter 'm' must be an integer, got 'three'"),
     ((("n", 2), ("m", 3), ("seed", 1)), "family 'random_additive' needs parameter 'max_value'"),
+    ((("n", 2.9), ("m", 3), ("max_value", 10), ("seed", 1)),
+     "family 'random_additive' parameter 'n' must be an integer, got 2.9"),
+    ((("n", 2), ("m", 3), ("max_value", True), ("seed", 1)),
+     "family 'random_additive' parameter 'max_value' must be an integer, got True"),
 ])
 def test_generator_parameters_are_named_when_wrong(params, message):
     with pytest.raises(MalformedInstanceError) as exc:

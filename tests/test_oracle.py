@@ -165,6 +165,23 @@ def test_exact_mnw_missing_table_entry_raises_at_the_first_leaf_that_reads_it():
         exact_mnw(inst, method="plain")
 
 
+def test_exact_mnw_one_agent_gets_every_item():
+    for m in range(6):
+        for inst in (
+            random_additive(1, m, 3, seed=m),
+            Instance(1, m, (AdditiveValuation((0,) * m),), "additive"),
+            xos(1, m, clauses=2, seed=m),
+            budget_additive(1, m, cap=4, seed=m),
+        ):
+            for method in ("plain", "auto"):
+                result = exact_mnw(inst, method=method)
+                assert result.allocation.masks() == ((1 << m) - 1,)
+                assert_matches_naive_mnw(inst, result)
+    missing = Instance(1, 2, (ExplicitValuation(2, {0: 0, 1: 1, 2: 1}),), "monotone")
+    with pytest.raises(MalformedInstanceError, match="missing a table entry for mask 3"):
+        exact_mnw(missing)
+
+
 def test_exact_mnw_method_validation():
     with pytest.raises(ValueError):
         exact_mnw(example1(), method="guess")

@@ -20,13 +20,13 @@ from fairdiv import (
     Instance,
     available_bundles,
     budget_additive,
-    chain_cycle_decomposition,
     example1,
     monotone_gap_instance,
     random_additive,
     subadditive_efx_matching,
     xos,
 )
+from naive import chain_cycle_decomposition
 
 HALF = Fraction(1, 2)
 

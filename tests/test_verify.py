@@ -217,7 +217,7 @@ def test_mms_share_hand_computed():
 
 def test_mms_share_respects_the_pool():
     inst = Instance(1, 4, (AdditiveValuation((10, 1, 2, 3)),), "additive")
-    assert mms_share(inst, 0, 2, Bundle.of(1, 2, 3)) == 3
+    assert mms_share(inst, 0, 2, Bundle(0b1110)) == 3
 
 
 @given(st.data())

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import sys
@@ -51,7 +50,7 @@ def _effective_caps(args) -> Caps:
     if getattr(args, "cap", None) is not None:
         if args.cap <= 0:
             raise MalformedInstanceError("--cap must be a positive integer")
-        caps = dataclasses.replace(caps, enumeration=args.cap)
+        caps = Caps(enumeration=args.cap)
     return caps
 
 
@@ -76,11 +75,13 @@ def _load_allocation(path: str, instance: Instance) -> Allocation:
     if not isinstance(bundles, list) or len(bundles) != instance.n:
         raise MalformedInstanceError(f"expected a list of {instance.n} bundles")
     masks = []
-    for row in bundles:
+    for i, row in enumerate(bundles):
         if not isinstance(row, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in row
         ):
             raise MalformedInstanceError("each bundle must be a list of item indices")
+        if not all(0 <= x < instance.m for x in row):  # before mask_of builds 1 << x
+            raise MalformedInstanceError(f"bundle {i} has items out of range for m={instance.m}")
         if len(set(row)) != len(row):
             raise MalformedInstanceError("a bundle lists the same item twice")
         masks.append(mask_of(row))
@@ -132,7 +133,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check_instance(args) -> int:
     caps = _effective_caps(args)
-    instance = instances.load_instance(args.instance, caps)
+    instance = instances.load_instance(args.instance)
     report = check_class(instance, caps)
     _emit(report.to_json_dict(), args.out)
     return EXIT_OK if report.ok else EXIT_MALFORMED
@@ -143,7 +144,7 @@ def _cmd_check_instance(args) -> int:
 
 def _cmd_mnw(args) -> int:
     caps = _effective_caps(args)
-    instance = instances.load_instance(args.instance, caps)
+    instance = instances.load_instance(args.instance)
     result = oracle.exact_mnw(instance, caps, method=args.method)
     _emit(result.to_json_dict(), args.out)
     return EXIT_OK
@@ -200,7 +201,7 @@ def _cmd_solve(args) -> int:
     if args.alg != "additive-poly" and (args.x0 is not None or args.beta is not None):
         raise MalformedInstanceError("--x0 and --beta apply to --alg additive-poly only")
     caps = _effective_caps(args)
-    instance = instances.load_instance(args.instance, caps)
+    instance = instances.load_instance(args.instance)
     alpha = parse_ratio(args.alpha)
     start = None
     if args.x0 is not None:
@@ -243,7 +244,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     caps = _effective_caps(args)
-    instance = instances.load_instance(args.instance, caps)
+    instance = instances.load_instance(args.instance)
     allocation = _load_allocation(args.allocation, instance)
     names = [part.strip() for part in args.checks.split(",") if part.strip()]
     for name in names:
@@ -294,7 +295,7 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_instances(spec_data, caps) -> list[tuple[str, str, Instance]]:
+def _sweep_instances(spec_data) -> list[tuple[str, str, Instance]]:
     raw = spec_data.get("instances")
     if not isinstance(raw, list) or not raw:
         raise MalformedInstanceError('sweep spec needs a non-empty "instances" list')
@@ -302,7 +303,7 @@ def _sweep_instances(spec_data, caps) -> list[tuple[str, str, Instance]]:
     for entry in raw:
         path = entry.get("file") if isinstance(entry, dict) else entry
         if isinstance(path, str):
-            out.append((path, "file", instances.load_instance(path, caps)))
+            out.append((path, "file", instances.load_instance(path)))
         elif isinstance(entry, dict) and "family" in entry and "file" not in entry:
             spec = instances.GeneratorSpec.from_dict(entry)
             out.append((spec.instance_id(), spec.family, instances.generate(spec)))
@@ -355,7 +356,7 @@ def _cmd_sweep(args) -> int:
         raise MalformedInstanceError(f"sweep spec is not valid JSON: {exc}") from exc
     if not isinstance(spec_data, dict):
         raise MalformedInstanceError("sweep spec must be a JSON object")
-    loaded = _sweep_instances(spec_data, caps)
+    loaded = _sweep_instances(spec_data)
     alphas = spec_data.get("alphas", ["1/2"])
     if not isinstance(alphas, list) or not alphas:
         raise MalformedInstanceError('"alphas" must be a non-empty list')

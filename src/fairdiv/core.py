@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
 
 class MalformedInstanceError(ValueError):
-    """Instance data is structurally invalid (bad shapes, missing table entries)."""
+    """Instance data is structurally invalid (bad shapes, incomplete tables)."""
 
 
 class CapacityError(RuntimeError):
@@ -34,7 +34,11 @@ class IterationBoundError(RuntimeError):
 # rationals
 
 def parse_ratio(value: int | str | Fraction) -> Fraction:
-    """Parse an exact rational from an int, a Fraction, or a "p/q" / "p" string."""
+    """Parse an exact rational from an int, a Fraction, or a "p/q" / "p" string.
+
+    A string with an exponent is refused: "1e99999999" would expand to a
+    99999999-digit integer. A float's repr keeps its exponent within 308.
+    """
     if isinstance(value, bool):
         raise MalformedInstanceError(f"not a rational value: {value!r}")
     if isinstance(value, (int, Fraction)):
@@ -42,7 +46,7 @@ def parse_ratio(value: int | str | Fraction) -> Fraction:
     if isinstance(value, float):
         # floats in JSON are read as their decimal literal, not their binary value
         return Fraction(repr(value))
-    if isinstance(value, str):
+    if isinstance(value, str) and "e" not in value.lower():
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -68,23 +72,15 @@ def ratio_or_int(value: Fraction) -> int | str:
 # enumeration caps
 
 DEFAULT_ENUMERATION_CAP = 20_000_000
-DEFAULT_EXPLICIT_M_CAP = 16
-DEFAULT_GROUP_SHARE_AGENT_CAP = 6
+EXPLICIT_M_CAP = 16  # an explicit table holds 2^m entries
 
 
 @dataclass(frozen=True)
 class Caps:
-    """Configurable limits on exhaustive searches.
-
-    enumeration caps the state count of brute-force loops (n^m, (n+1)^m,
-    k^|pool|), explicit_m caps the item count of explicit table valuations,
-    and group_share_agents caps n for the 2^n subset loop of the group-share
-    checker.
-    """
+    """The configurable limit on exhaustive searches: enumeration caps the
+    state count of brute-force loops (n^m, (n+1)^m, k^|pool|, 3^m)."""
 
     enumeration: int = DEFAULT_ENUMERATION_CAP
-    explicit_m: int = DEFAULT_EXPLICIT_M_CAP
-    group_share_agents: int = DEFAULT_GROUP_SHARE_AGENT_CAP
 
 
 DEFAULT_CAPS = Caps()
@@ -98,11 +94,12 @@ def check_enumeration(states: int, what: str, caps: Caps) -> None:
         )
 
 
-def check_explicit_m(m: int, m_cap: int) -> None:
+def check_explicit_m(m: int) -> None:
     """Raise CapacityError when a table over m items (2^m entries) exceeds the cap."""
-    if m > m_cap:
+    if m > EXPLICIT_M_CAP:
         raise CapacityError(
-            f"explicit valuation with m={m} exceeds the table cap {m_cap} (2^m entries required)"
+            f"explicit valuation with m={m} exceeds the table cap {EXPLICIT_M_CAP} "
+            "(2^m entries required)"
         )
 
 
@@ -151,10 +148,6 @@ class Bundle:
     def __post_init__(self) -> None:
         if self.mask < 0:
             raise ValueError(f"negative bundle mask: {self.mask}")
-
-    @classmethod
-    def from_items(cls, items) -> "Bundle":
-        return cls(mask_of(items))
 
     def items(self) -> tuple[int, ...]:
         return tuple(iter_mask(self.mask))
@@ -232,33 +225,34 @@ class AdditiveValuation:
 
 @dataclass(frozen=True)
 class ExplicitValuation:
-    """v given by a table over bundle masks; every queried mask must be present."""
+    """v given by a full table: one value for each of the 2^m bundle masks,
+    with m at most EXPLICIT_M_CAP."""
 
     m: int
     table: dict[int, Fraction] = field(hash=False)
-    m_cap: InitVar[int] = DEFAULT_EXPLICIT_M_CAP
 
     kind = "explicit"
 
-    def __post_init__(self, m_cap: int) -> None:
+    def __post_init__(self) -> None:
         if self.m < 0:
             raise MalformedInstanceError(f"negative m: {self.m}")
-        check_explicit_m(self.m, m_cap)
+        check_explicit_m(self.m)
         top = full_mask(self.m)
         clean: dict[int, Fraction] = {}
         for mask, raw in self.table.items():
             if not isinstance(mask, int) or mask < 0 or mask > top:
                 raise MalformedInstanceError(f"table mask {mask!r} out of range for m={self.m}")
             clean[mask] = _check_nonnegative(parse_ratio(raw), f"at mask {mask}")
+        if len(clean) != top + 1:  # every key is in range, so some mask is missing
+            missing = next(mask for mask in range(top + 1) if mask not in clean)
+            raise MalformedInstanceError(
+                f"explicit valuation table has {len(clean)} entries, needs {top + 1} "
+                f"(first missing mask {missing})"
+            )
         object.__setattr__(self, "table", clean)
 
     def value_mask(self, mask: int) -> Fraction:
-        try:
-            return self.table[mask]
-        except KeyError:
-            raise MalformedInstanceError(
-                f"explicit valuation is missing a table entry for mask {mask}"
-            ) from None
+        return self.table[mask]
 
 
 Valuation = AdditiveValuation | ExplicitValuation
@@ -273,15 +267,14 @@ class ScaledValues(NamedTuple):
     """Every value of an instance multiplied by one common scale, as ints.
 
     values[i] is a tuple of per-item ints for an additive agent and, for an
-    explicit one, a tuple indexed by bundle mask holding None where the table
-    has no entry (2^m slots; m is capped by Caps.explicit_m). The scale is
-    shared by all agents, so a product of k positive values is always
-    scale**k times the true one, and products with equal k still order and
-    tie as the true ones do.
+    explicit one, its table as a tuple of 2^m ints indexed by bundle mask.
+    The scale is shared by all agents, so a product of k positive values is
+    always scale**k times the true one, and products with equal k still
+    order and tie as the true ones do.
     """
 
     scale: int
-    values: tuple[tuple[int | None, ...], ...]
+    values: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -338,12 +331,12 @@ class Instance:
         ]
         scale = math.lcm(*{v.denominator for values in raw for v in values})
 
-        def up(v: Fraction | None) -> int | None:
-            return None if v is None else v.numerator * (scale // v.denominator)
+        def up(v: Fraction) -> int:
+            return v.numerator * (scale // v.denominator)
 
         return ScaledValues(scale, tuple(
             tuple(map(up, val.item_values)) if isinstance(val, AdditiveValuation)
-            else tuple(map(up, map(val.table.get, range(1 << val.m))))
+            else tuple(map(up, map(val.table.__getitem__, range(1 << val.m))))
             for val in self.valuations
         ))
 
@@ -366,11 +359,6 @@ class Allocation:
     m: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "bundles",
-            tuple(b if isinstance(b, Bundle) else Bundle.from_items(b) for b in self.bundles),
-        )
         top = full_mask(self.m)
         seen = 0
         for i, b in enumerate(self.bundles):
@@ -450,17 +438,7 @@ class ClassReport:
 
 
 def _check_explicit_structure(agent: int, val: ExplicitValuation) -> ClassReport | None:
-    expected = 1 << val.m
-    if len(val.table) < expected:
-        missing = next(mask for mask in range(expected) if mask not in val.table)
-        return ClassReport(
-            "malformed",
-            f"agent {agent}: table is missing {expected - len(val.table)} entries "
-            f"(first missing mask {missing})",
-            agent=agent,
-            s=Bundle(missing),
-        )
-    empty = val.table.get(0)
+    empty = val.table[0]
     if empty != 0:
         return ClassReport(
             "malformed",
@@ -536,7 +514,7 @@ def check_class(instance: Instance, caps: Caps = DEFAULT_CAPS) -> ClassReport:
 
     Additive valuations pass structurally (nonnegative item values imply
     monotonicity and subadditivity). Explicit tables are swept exhaustively:
-    completeness and v(empty) = 0 first, then monotonicity for all (S, g),
+    v(empty) = 0 first, then monotonicity for all (S, g),
     then, when the declared class is subadditive, v(S u T) <= v(S) + v(T)
     over all disjoint pairs, on `scaled_values` ints. The first violation in
     agent, (S, g), then (S, T) walk order is returned. The disjoint-pair

@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .core import (
     AdditiveValuation,
-    Caps,
-    DEFAULT_CAPS,
     ExplicitValuation,
     Instance,
     MalformedInstanceError,
@@ -116,6 +114,7 @@ def xos(n: int, m: int, clauses: int = 3, seed: int = 0) -> Instance:
     """
     if n < 1 or m < 0 or clauses < 1:
         raise ValueError(f"bad parameters n={n}, m={m}, clauses={clauses}")
+    check_explicit_m(m)  # before any 2^m table is built
     rng = random.Random(seed)
     valuations = []
     for _ in range(n):
@@ -132,6 +131,7 @@ def budget_additive(n: int, m: int, cap: int, seed: int) -> Instance:
     """v(S) = min(cap, additive sum) with integer weights in [0, 10]."""
     if n < 1 or m < 0 or cap < 0:
         raise ValueError(f"bad parameters n={n}, m={m}, cap={cap}")
+    check_explicit_m(m)  # before any 2^m table is built
     rng = random.Random(seed)
     valuations = []
     for _ in range(n):
@@ -242,14 +242,14 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
-def instance_from_dict(data: dict, caps: Caps = DEFAULT_CAPS) -> Instance:
+def instance_from_dict(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise MalformedInstanceError("instance JSON must be an object")
     for key in ("n", "m", "class", "valuations"):
         if key not in data:
             raise MalformedInstanceError(f"instance JSON is missing key {key!r}")
     n, m = data["n"], data["m"]
-    if not isinstance(n, int) or not isinstance(m, int):
+    if type(n) is not int or type(m) is not int:  # a bool is an int, but not a count
         raise MalformedInstanceError("n and m must be integers")
     if m < 0:  # before any 1 << m
         raise MalformedInstanceError(f"negative item count m={m}")
@@ -278,25 +278,25 @@ def instance_from_dict(data: dict, caps: Caps = DEFAULT_CAPS) -> Instance:
                         f"valuation {i}: table key {key!r} is not a bundle mask"
                     ) from None
                 table[mask] = parse_ratio(v)
-            check_explicit_m(m, caps.explicit_m)  # before 1 << m is built
+            check_explicit_m(m)  # before 1 << m is built
             if len(table) != 1 << m:
                 raise MalformedInstanceError(
                     f"valuation {i}: table has {len(table)} entries, needs {1 << m} "
                     "(missing entries are an error, not defaulted)"
                 )
-            valuations.append(ExplicitValuation(m, table, m_cap=caps.explicit_m))
+            valuations.append(ExplicitValuation(m, table))
         else:
             raise MalformedInstanceError(f"valuation {i} needs an 'additive' or 'table' key")
     return Instance(n, m, tuple(valuations), data["class"])
 
 
-def load_instance(path: str, caps: Caps = DEFAULT_CAPS) -> Instance:
+def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedInstanceError(f"{path}: invalid JSON ({exc})") from exc
-    return instance_from_dict(data, caps)
+    return instance_from_dict(data)
 
 
 def save_instance(instance: Instance, path: str) -> None:

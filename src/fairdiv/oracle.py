@@ -126,8 +126,6 @@ def exact_mnw(
                     v = current[i]
                 else:
                     v = table[masks[i]]
-                    if v is None:  # missing entry: raise the valuation's own error
-                        instance.valuations[i].value_mask(masks[i])
                 if v:
                     count += 1
                     prod *= v

@@ -261,10 +261,7 @@ def mms_share(
                 if additive:
                     worst = min(sums)
                 else:
-                    parts = [own[mask] for mask in part_masks]
-                    if None in parts:  # missing entry: raise the valuation's own error
-                        parts = [val.value_mask(mask) for mask in part_masks]
-                    worst = min(parts)
+                    worst = min([own[mask] for mask in part_masks])
                 if worst > best:
                     best = worst
             return
@@ -333,6 +330,9 @@ def is_alpha_pmms(
     return GuaranteeReport("alpha_pmms", {"alpha": alpha})
 
 
+GROUP_SHARE_AGENT_CAP = 6
+
+
 def is_alpha_gmms(
     instance: Instance,
     allocation: Allocation,
@@ -342,14 +342,14 @@ def is_alpha_gmms(
     """alpha-GMMS: for every nonempty group I and i in I,
     v_i(X_i) >= alpha * mu_i(|I|, union of the group's bundles).
 
-    The group loop is 2^n; refuse n beyond caps.group_share_agents.
+    The group loop is 2^n; refuse n beyond GROUP_SHARE_AGENT_CAP.
     """
     alpha = _check_alpha(alpha)
     _check_allocation(instance, allocation)
-    if instance.n > caps.group_share_agents:
+    if instance.n > GROUP_SHARE_AGENT_CAP:
         raise CapacityError(
-            f"group-share check over {instance.n} agents exceeds the cap "
-            f"Caps.group_share_agents = {caps.group_share_agents}"
+            f"group-share check over {instance.n} agents "
+            f"exceeds the agent cap {GROUP_SHARE_AGENT_CAP}"
         )
     for group_mask in range(1, 1 << instance.n):
         members = list(iter_mask(group_mask))

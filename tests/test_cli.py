@@ -9,9 +9,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import fairdiv
 from fairdiv import cli, example1, oracle, random_additive, save_instance, verify, xos
 
 CHECKERS = ("is_alpha_efx", "is_ef1", "is_beta_mnw", "is_gamma_separated",
@@ -34,7 +41,7 @@ def xos_path(tmp_path):
 
 @pytest.fixture()
 def seven_agents_path(tmp_path):
-    # n = 7 is over Caps.group_share_agents = 6
+    # n = 7 is over the group-share agent cap 6
     path = tmp_path / "seven.json"
     save_instance(random_additive(7, 7, 10, seed=1), path)
     return str(path)
@@ -349,7 +356,7 @@ def test_solve_skips_the_group_share_report_it_does_not_print(seven_agents_path,
     captured = capsys.readouterr()
     assert captured.out == "" and not trace.exists()
     assert captured.err == (
-        "error: group-share check over 7 agents exceeds the cap Caps.group_share_agents = 6\n"
+        "error: group-share check over 7 agents exceeds the agent cap 6\n"
     )
 
 
@@ -594,3 +601,59 @@ def test_main_builds_the_parser_once_and_prints_the_same(example_path, capsys):
                 parse(argv)
             texts.append((exc.value.code, capsys.readouterr()))
         assert texts[0] == texts[1] == texts[2]
+
+
+# ---------------------------------------------------------------------------
+# bad input
+
+# documents the cases below name in braces, next to "example" and "out"
+BAD_FILES = {
+    "sweep": {"instances": [{"family": "budget_additive", "n": 1, "m": 40, "cap": 5, "seed": 1}]},
+    "exponent": {"n": 1, "m": 1, "class": "additive", "valuations": [{"additive": ["1e99999999"]}]},
+    "far_item": {"bundles": [[0, 1, 2], [100000000000]]},
+    "bool_n": {"n": True, "m": 1, "class": "additive", "valuations": [{"additive": [1]}]},
+    "bool_m": {"n": 1, "m": True, "class": "additive", "valuations": [{"additive": [1]}]},
+}
+# each must be refused before the work it asks for: a 2^m table past the
+# table cap, 1 << item for an item past m, an exponent expanded digit by
+# digit, or a bool read as a count
+BAD_INPUT_CASES = {
+    "xos table over the cap": "gen --family xos --n 2 --m 20",
+    "budget_additive table over the cap":
+        "gen --family budget_additive --n 1 --m 40 --budget 5 --seed 1",
+    "sweep of a table over the cap": "sweep --spec {sweep} --out {out}",
+    "exponent value": "mnw {exponent}",
+    "exponent alpha": "solve {example} --alg additive --alpha 1e99999999",
+    "item far out of range in --allocation": "verify {example} --allocation {far_item}",
+    "item far out of range in --x0":
+        "solve {example} --alg additive-poly --alpha 1/2 --x0 {far_item}",
+    "bool n": "check-instance {bool_n}",
+    "bool m": "check-instance {bool_m}",
+}
+CHILD_ADDRESS_SPACE = 1 << 30
+
+
+def limit_child_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("command", BAD_INPUT_CASES.values(), ids=BAD_INPUT_CASES)
+def test_bad_input_exits_promptly_with_one_error_line(command, example_path, tmp_path):
+    paths = {"example": example_path, "out": str(tmp_path / "out.csv")}
+    for name, doc in BAD_FILES.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    src = str(Path(fairdiv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    started = time.monotonic()
+    got = subprocess.run(
+        [sys.executable, "-m", "fairdiv.cli", *command.format(**paths).split()],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=limit_child_memory,
+    )
+    elapsed = time.monotonic() - started
+    assert got.returncode in (2, 3), got.stderr
+    assert "Traceback" not in got.stderr
+    lines = got.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert elapsed < 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import types
 from fractions import Fraction
 
@@ -45,6 +46,7 @@ def test_parse_ratio_accepts_ints_strings_and_fractions():
     assert parse_ratio("7") == Fraction(7)
     assert parse_ratio("3/4") == Fraction(3, 4)
     assert parse_ratio("-3/4") == Fraction(-3, 4)
+    assert parse_ratio("0.25") == Fraction(1, 4)
     assert parse_ratio(Fraction(2, 6)) == Fraction(1, 3)
 
 
@@ -52,9 +54,13 @@ def test_parse_ratio_reads_floats_by_their_printed_form():
     assert parse_ratio(0.5) == Fraction(1, 2)
     # repr(0.1) is "0.1", so the decimal string wins over the binary expansion
     assert parse_ratio(0.1) == Fraction(1, 10)
+    # a float's repr may carry an exponent, bounded by the float range
+    assert parse_ratio(1e300) == 10**300
 
 
-@pytest.mark.parametrize("bad", [True, False, "three", "1/0", "", None, [1]])
+@pytest.mark.parametrize(
+    "bad", [True, False, "three", "1/0", "", None, [1], "1e99999999", "2.5E-3", "1e2/3"]
+)
 def test_parse_ratio_rejects_non_rationals(bad):
     with pytest.raises(MalformedInstanceError):
         parse_ratio(bad)
@@ -92,7 +98,7 @@ def test_full_mask():
 
 
 def test_bundle_basics():
-    b = Bundle.from_items([3, 1])
+    b = Bundle(mask_of([3, 1]))
     assert b.mask == 0b1010
     assert b.items() == (1, 3)
     assert list(b) == [1, 3]
@@ -125,7 +131,7 @@ items_strategy = st.lists(st.integers(min_value=0, max_value=15), max_size=8)
 
 @given(items_strategy, items_strategy)
 def test_bundle_algebra_matches_sets(xs, ys):
-    a, b = Bundle.from_items(xs), Bundle.from_items(ys)
+    a, b = Bundle(mask_of(xs)), Bundle(mask_of(ys))
     sa, sb = set(xs), set(ys)
     assert a.items() == tuple(sorted(sa))
     assert set((a | b).items()) == sa | sb
@@ -164,17 +170,28 @@ def test_explicit_valuation_rejects_bad_tables():
         ExplicitValuation(1, {0: 0, 1: -1})
     with pytest.raises(MalformedInstanceError):
         ExplicitValuation(1, {0: 0, 5: 1})
-    v = ExplicitValuation(1, {0: 0})
-    with pytest.raises(MalformedInstanceError):
-        v.value_mask(1)  # missing entries are an error, not zero
+
+
+@pytest.mark.parametrize("m, table, first_missing", [
+    (0, {}, 0),
+    (1, {0: 0}, 1),
+    (2, {0: 0, 1: 1, 3: 2}, 2),
+])
+def test_explicit_valuation_refuses_a_partial_table(m, table, first_missing):
+    # missing entries are an error, not zero, and the table is refused where it is built
+    message = (f"explicit valuation table has {len(table)} entries, needs {1 << m} "
+               f"(first missing mask {first_missing})")
+    with pytest.raises(MalformedInstanceError, match=rf"^{re.escape(message)}$"):
+        ExplicitValuation(m, table)
 
 
 def test_explicit_valuation_size_cap():
     table = {mask: 0 for mask in range(1 << 17)}
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="m=17 exceeds the table cap 16"):
         ExplicitValuation(17, table)
-    # a raised cap admits the same table
-    ExplicitValuation(17, table, m_cap=17)
+    # the cap is checked before the table is read or 1 << m is built
+    with pytest.raises(CapacityError, match=f"m={10**20} exceeds"):
+        ExplicitValuation(10**20, {})
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +254,11 @@ def test_allocation_rejects_overlap_and_range():
         Allocation.from_masks((0b100, 0), 2)
 
 
-def test_allocation_from_bundles_and_item_lists():
-    alloc = Allocation((Bundle(0b100), [1]), 3)
+def test_allocation_from_bundles():
+    alloc = Allocation((Bundle(0b100), Bundle(mask_of([1]))), 3)
     assert alloc.masks() == (0b100, 0b010)
     with pytest.raises(ValueError):
-        Allocation((Bundle(0b001), [0]), 3)  # would overlap agent 0
+        Allocation((Bundle(0b001), Bundle(mask_of([0]))), 3)  # would overlap agent 0
 
 
 def test_nash_product_and_positive_profile():
@@ -262,14 +279,6 @@ def test_nash_product_and_positive_profile():
 def test_check_class_additive_passes():
     report = check_class(_two_agent_instance())
     assert report.ok and report.verdict == "pass"
-
-
-def test_check_class_flags_incomplete_table():
-    inst = Instance(
-        1, 1, (ExplicitValuation(1, {0: 0}),), "monotone"
-    )
-    report = check_class(inst)
-    assert not report.ok and report.verdict == "malformed"
 
 
 def test_check_class_flags_nonzero_empty_set():
@@ -309,7 +318,7 @@ def test_check_class_caps_the_subadditivity_walk():
     with pytest.raises(CapacityError, match=r"3\^3"):
         check_class(inst, Caps(enumeration=26))
     # the cap guards the 3^m walk only: structure and monotonicity come first
-    broken = Instance(1, 3, (ExplicitValuation(3, {0: 0}),), "subadditive")
+    broken = Instance(1, 3, (ExplicitValuation(3, {**table, 0: 1}),), "subadditive")
     assert check_class(broken, Caps(enumeration=1)).verdict == "malformed"
     assert check_class(Instance(1, 3, inst.valuations, "monotone"), Caps(enumeration=1)).ok
 
@@ -374,8 +383,6 @@ def test_scaled_values_share_one_scale():
     scale, values = inst.scaled_values
     assert scale == 12
     assert values == ((6, 0), (0, 4, 12, 15))
-    sparse = Instance(1, 2, (ExplicitValuation(2, {0: 0, 3: Fraction(1, 2)}),), "monotone")
-    assert sparse.scaled_values == (2, ((0, None, None, 1),))
     assert inst.scaled_values is inst.scaled_values
 
 

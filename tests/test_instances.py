@@ -12,7 +12,6 @@ import naive
 from fairdiv import (
     AdditiveValuation,
     CapacityError,
-    Caps,
     ExplicitValuation,
     GeneratorSpec,
     MalformedInstanceError,
@@ -276,12 +275,11 @@ def test_loader_rejects_incomplete_table():
         instance_from_dict(bad_key)
 
 
-def test_loader_honors_explicit_table_cap(tmp_path):
-    inst = xos(2, 4, clauses=2, seed=2)
-    path = tmp_path / "inst.json"
-    save_instance(inst, str(path))
-    with pytest.raises(CapacityError):
-        load_instance(str(path), Caps(explicit_m=3))
+def test_loader_honors_explicit_table_cap():
+    # the cap is checked before the table's 2^m entries are counted
+    data = {"n": 1, "m": 17, "class": "subadditive", "valuations": [{"table": {}}]}
+    with pytest.raises(CapacityError, match="m=17 exceeds the table cap 16"):
+        instance_from_dict(data)
 
 
 def test_load_rejects_invalid_json(tmp_path):

@@ -12,7 +12,6 @@ from fairdiv import (
     AdditiveValuation,
     CapacityError,
     Caps,
-    ExplicitValuation,
     GeneratorSpec,
     Instance,
     MalformedInstanceError,
@@ -149,22 +148,6 @@ def test_exact_mnw_matches_naive_mnw_on_tables():
             assert_matches_naive_mnw(inst, exact_mnw(inst))
 
 
-def test_exact_mnw_missing_table_entry_raises_at_the_first_leaf_that_reads_it():
-    # leaves in order: (0, 0) reads masks 3 and 0, (0, 1) reads 1 and 2,
-    # (1, 0) reads agent 0's missing mask 2 before agent 1's missing mask 1
-    inst = Instance(
-        2,
-        2,
-        (
-            ExplicitValuation(2, {0: 0, 1: 1, 3: 2}),
-            ExplicitValuation(2, {0: 0, 2: 1, 3: 2}),
-        ),
-        "monotone",
-    )
-    with pytest.raises(MalformedInstanceError, match="missing a table entry for mask 2"):
-        exact_mnw(inst, method="plain")
-
-
 def test_exact_mnw_one_agent_gets_every_item():
     for m in range(6):
         for inst in (
@@ -177,9 +160,6 @@ def test_exact_mnw_one_agent_gets_every_item():
                 result = exact_mnw(inst, method=method)
                 assert result.allocation.masks() == ((1 << m) - 1,)
                 assert_matches_naive_mnw(inst, result)
-    missing = Instance(1, 2, (ExplicitValuation(2, {0: 0, 1: 1, 2: 1}),), "monotone")
-    with pytest.raises(MalformedInstanceError, match="missing a table entry for mask 3"):
-        exact_mnw(missing)
 
 
 def test_exact_mnw_method_validation():

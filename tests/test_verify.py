@@ -16,9 +16,7 @@ from fairdiv import (
     Bundle,
     CapacityError,
     Caps,
-    ExplicitValuation,
     Instance,
-    MalformedInstanceError,
     budget_additive,
     efx_violation,
     example1,
@@ -258,13 +256,6 @@ def test_mms_share_matches_naive_on_a_table():
                 assert share == naive.naive_mms(inst, agent, k, naive.mask_items(pool_mask))
 
 
-def test_mms_share_missing_table_entry_raises():
-    # the one labelling into two parts reads part 0 (mask 1) before part 1 (mask 2)
-    inst = Instance(1, 2, (ExplicitValuation(2, {0: 0, 3: 2}),), "monotone")
-    with pytest.raises(MalformedInstanceError, match="missing a table entry for mask 1"):
-        mms_share(inst, 0, 2, Bundle(0b11))
-
-
 def test_mms_share_validation_and_caps():
     inst = example1()
     with pytest.raises(ValueError):
@@ -323,12 +314,14 @@ def test_gmms_interpolates_mms_and_pmms():
 
 
 def test_gmms_agent_count_cap():
-    n = 7
-    inst = random_additive(n, 3, 5, seed=1)
+    inst = random_additive(7, 3, 5, seed=1)
     allocation = Allocation.from_masks((0b001, 0b010, 0b100, 0, 0, 0, 0), 3)
-    with pytest.raises(CapacityError, match=r"cap Caps\.group_share_agents = 6$"):
+    message = "group-share check over 7 agents exceeds the agent cap 6"
+    with pytest.raises(CapacityError, match=f"^{message}$"):
         is_alpha_gmms(inst, allocation, Fraction(1))
-    report = is_alpha_gmms(inst, allocation, Fraction(1), Caps(group_share_agents=7))
+    # six agents are within the cap
+    six = Instance(6, 3, inst.valuations[:6], "additive")
+    report = is_alpha_gmms(six, Allocation.from_masks(allocation.masks()[:6], 3), Fraction(1))
     assert report.prop == "alpha_gmms"
 
 

@@ -21,11 +21,10 @@ from fractions import Fraction
 from .core import (
     Allocation,
     CapacityError,
-    Caps,
+    DEFAULT_ENUMERATION_CAP,
     Instance,
     IterationBoundError,
     MalformedInstanceError,
-    caps_from_env,
     check_class,
     format_ratio,
     iter_mask,
@@ -45,13 +44,10 @@ EXIT_CAPACITY = 3
 EXIT_VIOLATION = 4
 
 
-def _effective_caps(args) -> Caps:
-    caps = caps_from_env()
-    if getattr(args, "cap", None) is not None:
-        if args.cap <= 0:
-            raise MalformedInstanceError("--cap must be a positive integer")
-        caps = Caps(enumeration=args.cap)
-    return caps
+def _effective_cap(args) -> int:
+    if args.cap <= 0:
+        raise MalformedInstanceError("--cap must be a positive integer")
+    return args.cap
 
 
 def _emit(data, out_path: str | None) -> None:
@@ -132,9 +128,9 @@ def _cmd_gen(args) -> int:
 # check-instance
 
 def _cmd_check_instance(args) -> int:
-    caps = _effective_caps(args)
+    cap = _effective_cap(args)
     instance = instances.load_instance(args.instance)
-    report = check_class(instance, caps)
+    report = check_class(instance, cap)
     _emit(report.to_json_dict(), args.out)
     return EXIT_OK if report.ok else EXIT_MALFORMED
 
@@ -143,9 +139,9 @@ def _cmd_check_instance(args) -> int:
 # mnw
 
 def _cmd_mnw(args) -> int:
-    caps = _effective_caps(args)
+    cap = _effective_cap(args)
     instance = instances.load_instance(args.instance)
-    result = oracle.exact_mnw(instance, caps, method=args.method)
+    result = oracle.exact_mnw(instance, cap)
     _emit(result.to_json_dict(), args.out)
     return EXIT_OK
 
@@ -200,7 +196,7 @@ def _solve_trace_json(state) -> list[dict]:
 def _cmd_solve(args) -> int:
     if args.alg != "additive-poly" and (args.x0 is not None or args.beta is not None):
         raise MalformedInstanceError("--x0 and --beta apply to --alg additive-poly only")
-    caps = _effective_caps(args)
+    cap = _effective_cap(args)
     instance = instances.load_instance(args.instance)
     alpha = parse_ratio(args.alpha)
     start = None
@@ -209,7 +205,7 @@ def _cmd_solve(args) -> int:
         if not start.complete:
             raise MalformedInstanceError("--x0 must be a complete allocation")
     beta = parse_ratio(args.beta) if args.beta is not None else Fraction(1)
-    result = completion.run(args.alg, instance, alpha, args.complete, caps, start=start, beta=beta)
+    result = completion.run(args.alg, instance, alpha, args.complete, cap, start=start, beta=beta)
 
     final = result.allocation
     data: dict = {"algorithm": args.alg, "alpha": format_ratio(alpha), "complete": bool(args.complete)}
@@ -243,7 +239,7 @@ def _cmd_solve(args) -> int:
 # verify
 
 def _cmd_verify(args) -> int:
-    caps = _effective_caps(args)
+    cap = _effective_cap(args)
     instance = instances.load_instance(args.instance)
     allocation = _load_allocation(args.allocation, instance)
     names = [part.strip() for part in args.checks.split(",") if part.strip()]
@@ -265,8 +261,8 @@ def _cmd_verify(args) -> int:
             if args.reference_product is not None:
                 reference = parse_ratio(args.reference_product)
             else:
-                reference = oracle.exact_mnw(instance, caps).product
-        reports.append(verify.check(name, instance, allocation, level, reference, caps))
+                reference = oracle.exact_mnw(instance, cap).product
+        reports.append(verify.check(name, instance, allocation, level, reference, cap))
     data = {
         "checks": [report.to_json_dict() for report in reports],
         "ok": all(report.passed for report in reports),
@@ -326,12 +322,12 @@ def _default_algorithms(instance: Instance) -> list[str]:
 CLAIM_COLUMNS = {"efx": "efx", "ef1": "ef1", "mnw_bound": "mnw"}
 
 
-def _sweep_row(instance: Instance, alpha: Fraction, algorithm: str, caps: Caps, optimum) -> dict:
+def _sweep_row(instance: Instance, alpha: Fraction, algorithm: str, cap: int, optimum) -> dict:
     row = dict.fromkeys(SWEEP_COLUMNS, "")
     row["bound_ratio"] = format_ratio((1 / (alpha + 1)) ** instance.n)
     name = algorithm.removesuffix("-complete")
     try:
-        result = completion.run(name, instance, alpha, name != algorithm, caps, optimum)
+        result = completion.run(name, instance, alpha, name != algorithm, cap, optimum)
         verdicts = {column: result.report(claim).verdict
                     for column, claim in CLAIM_COLUMNS.items() if claim in result.claims}
     except (ValueError, MalformedInstanceError, CapacityError, IterationBoundError) as exc:
@@ -348,7 +344,7 @@ def _sweep_row(instance: Instance, alpha: Fraction, algorithm: str, caps: Caps, 
 
 
 def _cmd_sweep(args) -> int:
-    caps = _effective_caps(args)
+    cap = _effective_cap(args)
     try:
         with open(args.spec, encoding="utf-8") as fh:
             spec_data = json.load(fh)
@@ -374,7 +370,7 @@ def _cmd_sweep(args) -> int:
     for instance_id, family, instance in loaded:
         algs = algorithms if algorithms is not None else _default_algorithms(instance)
         # solved at most once per instance, inside the first row that needs it
-        optimum = functools.cache(functools.partial(oracle.exact_mnw, instance, caps))
+        optimum = functools.cache(functools.partial(oracle.exact_mnw, instance, cap))
         for alpha in parsed_alphas:
             for algorithm in algs:
                 tasks.append((instance_id, family, instance, alpha, algorithm, optimum))
@@ -388,7 +384,7 @@ def _cmd_sweep(args) -> int:
         writer.writeheader()
         for instance_id, family, instance, alpha, algorithm, optimum in tasks:
             started = time.perf_counter()
-            row = _sweep_row(instance, alpha, algorithm, caps, optimum)
+            row = _sweep_row(instance, alpha, algorithm, cap, optimum)
             elapsed_ms = int((time.perf_counter() - started) * 1000)
             row.update(
                 {
@@ -410,7 +406,7 @@ def _cmd_sweep(args) -> int:
 # certify-impossibility
 
 def _cmd_certify(args) -> int:
-    caps = _effective_caps(args)
+    cap = _effective_cap(args)
     if args.family == "theorem4":
         if args.alpha is None or args.eps is None or args.n is None:
             raise MalformedInstanceError("theorem4 needs --alpha, --eps, and --n")
@@ -419,7 +415,7 @@ def _cmd_certify(args) -> int:
         if args.big_n is None:
             raise MalformedInstanceError("theorem5 needs --N")
         spec = _spec_from_flags(args, ("N",))
-    certificate = oracle.certify_impossibility(spec, caps)
+    certificate = oracle.certify_impossibility(spec, cap)
     _emit(certificate.to_json_dict(), args.out)
     return EXIT_OK if certificate.verified else EXIT_VIOLATION
 
@@ -439,9 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_cap(p):
+        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                       help="enumeration cap on the states of an exhaustive search "
+                            "(default %(default)s)")
+
     def add_common(p):
-        p.add_argument("--cap", type=int, default=None,
-                       help="override the enumeration capacity limit")
+        add_cap(p)
         p.add_argument("--out", default=None,
                        help="write the result to this file instead of stdout")
 
@@ -468,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mnw", help="exact max-product allocation by enumeration")
     p.add_argument("instance")
-    p.add_argument("--method", choices=oracle.MNW_METHODS, default="auto")
     add_common(p)
     p.set_defaults(func=_cmd_mnw)
 
@@ -506,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--timing", action="store_true",
                    help="add a wall_ms column (non-deterministic)")
-    p.add_argument("--cap", type=int, default=None)
+    add_cap(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("certify-impossibility",

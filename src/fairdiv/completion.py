@@ -22,8 +22,7 @@ from typing import Callable
 from .core import (
     Allocation,
     Bundle,
-    Caps,
-    DEFAULT_CAPS,
+    DEFAULT_ENUMERATION_CAP,
     Instance,
     IterationBoundError,
     iter_mask,
@@ -189,12 +188,12 @@ class PipelineResult:
     state: object = None   # matching-stage trace holder, when kept
     start_product: Fraction | None = None   # the mnw claim's reference
     restart: additive_alg.RestartResult | None = None   # additive-poly only
-    caps: Caps = DEFAULT_CAPS
+    cap: int = DEFAULT_ENUMERATION_CAP
 
     def report(self, name: str) -> GuaranteeReport:
         """Check the claim `name` on the final allocation now."""
         return check(name, self.instance, self.allocation, self.claims[name],
-                     self.start_product, self.caps)
+                     self.start_product, self.cap)
 
     @functools.cached_property
     def reports(self) -> tuple[GuaranteeReport, ...]:
@@ -214,7 +213,7 @@ def run(
     instance: Instance,
     alpha: Fraction,
     complete: bool,
-    caps: Caps = DEFAULT_CAPS,
+    cap: int = DEFAULT_ENUMERATION_CAP,
     optimum: Callable[[], MnwResult] | None = None,
     start: Allocation | None = None,
     beta: Fraction = Fraction(1),
@@ -243,7 +242,7 @@ def run(
         )
     mnw = None
     if start is None:
-        mnw = optimum() if optimum is not None else exact_mnw(instance, caps)
+        mnw = optimum() if optimum is not None else exact_mnw(instance, cap)
         start = mnw.allocation
     restart = None
     if algorithm == "additive":
@@ -274,7 +273,7 @@ def run(
     else:
         claims = {"efx": alpha, "mnw": 1 / (alpha + 1), "separated": alpha}
     return PipelineResult(instance, alpha, mnw, partial, final, claims, swaps, events,
-                          state, nash_product(instance, start), restart, caps)
+                          state, nash_product(instance, start), restart, cap)
 
 
 def _checked(result: PipelineResult) -> PipelineResult:
@@ -283,7 +282,7 @@ def _checked(result: PipelineResult) -> PipelineResult:
 
 
 def pipeline_additive(
-    instance: Instance, alpha: Fraction, caps: Caps = DEFAULT_CAPS
+    instance: Instance, alpha: Fraction, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> PipelineResult:
     """Max-product start, matching, then envy cycles, for additive instances.
 
@@ -291,11 +290,11 @@ def pipeline_additive(
     alpha-EFX, EF1, a (1/(alpha+1))**n product bound against the optimum,
     alpha/(alpha**2+1) groupwise shares, and alpha pairwise shares.
     """
-    return _checked(run("additive", instance, alpha, True, caps))
+    return _checked(run("additive", instance, alpha, True, cap))
 
 
 def pipeline_subadditive(
-    instance: Instance, alpha: Fraction, caps: Caps = DEFAULT_CAPS
+    instance: Instance, alpha: Fraction, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> PipelineResult:
     """Max-product start, splitting matching, singleton swaps, then envy
     cycles, for monotone subadditive instances with alpha <= 1/2.
@@ -303,4 +302,4 @@ def pipeline_subadditive(
     The complete result is checked for alpha-EFX and a (1/(alpha+1))**n
     product bound against the optimum.
     """
-    return _checked(run("subadditive", instance, alpha, True, caps))
+    return _checked(run("subadditive", instance, alpha, True, cap))

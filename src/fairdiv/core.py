@@ -11,7 +11,6 @@ one common denominator, as Python ints.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -37,13 +36,14 @@ def parse_ratio(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a "p/q" / "p" string.
 
     A string with an exponent is refused: "1e99999999" would expand to a
-    99999999-digit integer. A float's repr keeps its exponent within 308.
+    99999999-digit integer. A finite float's repr keeps its exponent within
+    308; an infinite or NaN float is refused.
     """
     if isinstance(value, bool):
         raise MalformedInstanceError(f"not a rational value: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         # floats in JSON are read as their decimal literal, not their binary value
         return Fraction(repr(value))
     if isinstance(value, str) and "e" not in value.lower():
@@ -71,26 +71,15 @@ def ratio_or_int(value: Fraction) -> int | str:
 # ---------------------------------------------------------------------------
 # enumeration caps
 
-DEFAULT_ENUMERATION_CAP = 20_000_000
+DEFAULT_ENUMERATION_CAP = 20_000_000  # states of a brute-force loop: n^m, (n+1)^m, k^|pool|, 3^m
 EXPLICIT_M_CAP = 16  # an explicit table holds 2^m entries
 
 
-@dataclass(frozen=True)
-class Caps:
-    """The configurable limit on exhaustive searches: enumeration caps the
-    state count of brute-force loops (n^m, (n+1)^m, k^|pool|, 3^m)."""
-
-    enumeration: int = DEFAULT_ENUMERATION_CAP
-
-
-DEFAULT_CAPS = Caps()
-
-
-def check_enumeration(states: int, what: str, caps: Caps) -> None:
+def check_enumeration(states: int, what: str, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
     """Raise CapacityError when a search of `states` states exceeds the cap."""
-    if states > caps.enumeration:
+    if states > cap:
         raise CapacityError(
-            f"{what} needs {states} states, over the enumeration cap {caps.enumeration}"
+            f"{what} needs {states} states, over the enumeration cap {cap}"
         )
 
 
@@ -101,23 +90,6 @@ def check_explicit_m(m: int) -> None:
             f"explicit valuation with m={m} exceeds the table cap {EXPLICIT_M_CAP} "
             "(2^m entries required)"
         )
-
-
-CAP_ENV_VAR = "FAIRDIV_CAP"
-
-
-def caps_from_env() -> Caps:
-    """DEFAULT_CAPS, with the enumeration cap overridden by $FAIRDIV_CAP if set."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAPS
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise MalformedInstanceError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if cap <= 0:
-        raise MalformedInstanceError(f"{CAP_ENV_VAR} must be positive, got {cap}")
-    return Caps(enumeration=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -509,31 +481,32 @@ def _check_subadditive(
     )
 
 
-def check_class(instance: Instance, caps: Caps = DEFAULT_CAPS) -> ClassReport:
+def check_class(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> ClassReport:
     """Verify that every valuation satisfies the instance's declared class.
 
     Additive valuations pass structurally (nonnegative item values imply
     monotonicity and subadditivity). Explicit tables are swept exhaustively:
-    v(empty) = 0 first, then monotonicity for all (S, g),
-    then, when the declared class is subadditive, v(S u T) <= v(S) + v(T)
-    over all disjoint pairs, on `scaled_values` ints. The first violation in
-    agent, (S, g), then (S, T) walk order is returned. The disjoint-pair
-    walk visits each unordered pair at most once, but its cap still counts
-    all 3^m ordered states per table: CapacityError when that exceeds
-    caps.enumeration.
+    for each table in agent order, v(empty) = 0 and then monotonicity for all
+    (S, g), uncapped; then, when the declared class is subadditive and every
+    table is monotone, v(S u T) <= v(S) + v(T) over all disjoint pairs, on
+    `scaled_values` ints, again in agent order. The first violation in that
+    order is returned. The disjoint-pair walk visits each unordered pair at
+    most once, but its cap still counts all 3^m ordered states per table:
+    CapacityError when that exceeds `cap`.
     """
-    for agent, val in enumerate(instance.valuations):
-        if isinstance(val, AdditiveValuation):
-            continue
-        report = _check_explicit_structure(agent, val)
+    tables = [
+        (agent, val, instance.scaled_values.values[agent])
+        for agent, val in enumerate(instance.valuations)
+        if isinstance(val, ExplicitValuation)
+    ]
+    m = instance.m
+    for agent, val, row in tables:
+        report = _check_explicit_structure(agent, val) or _check_monotone(agent, val, row, m)
         if report is not None:
             return report
-        m, row = instance.m, instance.scaled_values.values[agent]
-        report = _check_monotone(agent, val, row, m)
-        if report is not None:
-            return report
-        if instance.declared_class == "subadditive":
-            check_enumeration(3**m, f"subadditivity check over 3^m = 3^{m} disjoint pairs", caps)
+    if tables and instance.declared_class == "subadditive":
+        check_enumeration(3**m, f"subadditivity check over 3^m = 3^{m} disjoint pairs", cap)
+        for agent, val, row in tables:
             report = _check_subadditive(agent, val, row, m)
             if report is not None:
                 return report

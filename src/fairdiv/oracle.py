@@ -1,8 +1,8 @@
 """Brute-force reference searches.
 
 These are the ground truth the algorithms are measured against: exact
-max-product allocations by full enumeration (with an optional sound
-branch-and-bound for additive instances), the best product achievable by any
+max-product allocations by full enumeration (pruned by a sound
+branch-and-bound on additive instances), the best product achievable by any
 alpha-EFX partial allocation, and certificates for the two hard families
 showing the fairness/efficiency gap.
 """
@@ -16,8 +16,7 @@ from fractions import Fraction
 from .core import (
     AdditiveValuation,
     Allocation,
-    Caps,
-    DEFAULT_CAPS,
+    DEFAULT_ENUMERATION_CAP,
     Instance,
     check_enumeration,
     format_ratio,
@@ -25,8 +24,6 @@ from .core import (
 )
 from .instances import GeneratorSpec, generate
 from .verify import _check_alpha, efx_violation
-
-MNW_METHODS = ("auto", "plain", "branch-and-bound")
 
 
 @dataclass(frozen=True)
@@ -60,37 +57,26 @@ class MnwResult:
         }
 
 
-def exact_mnw(
-    instance: Instance,
-    caps: Caps = DEFAULT_CAPS,
-    method: str = "auto",
-) -> MnwResult:
+def exact_mnw(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> MnwResult:
     """Exhaustive n^m search for the lexicographic max-product allocation.
 
-    method "plain" visits every assignment vector; "branch-and-bound" prunes
-    with the optimistic per-agent bound (current value plus everything still
-    unassigned), which never excludes an optimum or a tie. Branch-and-bound
-    requires additive valuations; "auto" picks it exactly for those.
+    On additive instances the walk prunes with the optimistic per-agent
+    bound (current value plus everything still unassigned), which never
+    excludes an optimum or a tie; on any other instance it visits every
+    assignment vector.
 
-    Both walks compare (positive count, product of positive values) keys on
+    The walk compares (positive count, product of positive values) keys on
     `instance.scaled_values`: with one scale L for all agents a key with
     count k is L**k times the true one, so keys order and tie as the true
     keys do, and the optimum's product is the scaled one over L**n.
     """
-    if method not in MNW_METHODS:
-        raise ValueError(f"method must be one of {MNW_METHODS}, got {method!r}")
-    if method == "branch-and-bound" and not instance.is_additive:
-        raise ValueError("branch-and-bound needs additive valuations")
-    if method == "auto":
-        method = "branch-and-bound" if instance.is_additive else "plain"
-
     n, m = instance.n, instance.m
-    check_enumeration(n**m, f"max-product search over n^m = {n}^{m}", caps)
+    check_enumeration(n**m, f"max-product search over n^m = {n}^{m}", cap)
     if n == 1:  # one complete allocation; the walk would recurse m deep to find it
         value = instance.valuations[0].value_mask(full_mask(m))
         return MnwResult(Allocation.from_masks((full_mask(m),), m), value, int(value > 0), 1)
     scale, values = instance.scaled_values
-    prune = method == "branch-and-bound"
+    prune = instance.is_additive
     agents = range(n)
     # explicit agents are read from their tables at the leaves; additive
     # agents keep a running sum, and columns[t][i] is agent i's value for item t
@@ -165,7 +151,7 @@ def exact_mnw(
 def best_alpha_efx_product(
     instance: Instance,
     alpha: Fraction,
-    caps: Caps = DEFAULT_CAPS,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[Fraction, Allocation]:
     """Maximum product over all alpha-EFX partial allocations, by (n+1)^m search.
 
@@ -174,7 +160,7 @@ def best_alpha_efx_product(
     """
     alpha = _check_alpha(alpha)
     n, m = instance.n, instance.m
-    check_enumeration((n + 1) ** m, f"alpha-EFX search over (n+1)^m = {n + 1}^{m}", caps)
+    check_enumeration((n + 1) ** m, f"alpha-EFX search over (n+1)^m = {n + 1}^{m}", cap)
     vals = instance.valuations
 
     best: Fraction | None = None
@@ -246,7 +232,7 @@ class ImpossibilityCertificate:
 
 
 def certify_impossibility(
-    spec: GeneratorSpec, caps: Caps = DEFAULT_CAPS
+    spec: GeneratorSpec, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ImpossibilityCertificate:
     """Build a gap-family instance and certify its fairness/efficiency gap.
 
@@ -270,8 +256,8 @@ def certify_impossibility(
         )
     # theorem4's bound is attained exactly; theorem5's is only an upper bound
     exact = spec.family == "theorem4"
-    mnw = exact_mnw(instance, caps)
-    best, best_alloc = best_alpha_efx_product(instance, alpha, caps)
+    mnw = exact_mnw(instance, cap)
+    best, best_alloc = best_alpha_efx_product(instance, alpha, cap)
     return ImpossibilityCertificate(
         spec=spec,
         alpha=alpha,

@@ -15,9 +15,9 @@ from .core import (
     Allocation,
     Bundle,
     CapacityError,
-    Caps,
-    DEFAULT_CAPS,
+    DEFAULT_ENUMERATION_CAP,
     Instance,
+    check_enumeration,
     format_ratio,
     full_mask,
     iter_mask,
@@ -216,7 +216,7 @@ def mms_share(
     agent: int,
     k: int,
     pool: Bundle,
-    caps: Caps = DEFAULT_CAPS,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Fraction:
     """Exact k-part maximin share of `pool` for `agent`.
 
@@ -232,11 +232,9 @@ def mms_share(
     if pool.mask & ~full_mask(instance.m):
         raise ValueError(f"pool has items out of range for m={instance.m}")
     items = pool.items()
-    if k ** len(items) > caps.enumeration:
-        raise CapacityError(
-            f"maximin share needs k^|pool| = {k}^{len(items)} labelings, "
-            f"over the enumeration cap {caps.enumeration}"
-        )
+    check_enumeration(
+        k ** len(items), f"maximin share over k^|pool| = {k}^{len(items)} labelings", cap
+    )
     val = instance.valuations[agent]
     if k == 1:
         return val.value_mask(pool.mask)
@@ -285,14 +283,14 @@ def is_alpha_mms(
     instance: Instance,
     allocation: Allocation,
     alpha: Fraction,
-    caps: Caps = DEFAULT_CAPS,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> GuaranteeReport:
     """alpha-MMS: v_i(X_i) >= alpha * (n-part maximin share of all m items)."""
     alpha = _check_alpha(alpha)
     _check_allocation(instance, allocation)
     everything = Bundle(full_mask(instance.m))
     for i in range(instance.n):
-        share = mms_share(instance, i, instance.n, everything, caps)
+        share = mms_share(instance, i, instance.n, everything, cap)
         own = instance.value_mask(i, allocation.bundles[i].mask)
         if own < alpha * share:
             return GuaranteeReport(
@@ -308,7 +306,7 @@ def is_alpha_pmms(
     instance: Instance,
     allocation: Allocation,
     alpha: Fraction,
-    caps: Caps = DEFAULT_CAPS,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> GuaranteeReport:
     """alpha-PMMS: for every ordered pair (i, j), v_i(X_i) >= alpha * mu_i(2, X_i u X_j)."""
     alpha = _check_alpha(alpha)
@@ -319,7 +317,7 @@ def is_alpha_pmms(
             if i == j:
                 continue
             pool = allocation.bundles[i] | allocation.bundles[j]
-            share = mms_share(instance, i, 2, pool, caps)
+            share = mms_share(instance, i, 2, pool, cap)
             if own < alpha * share:
                 return GuaranteeReport(
                     "alpha_pmms",
@@ -337,7 +335,7 @@ def is_alpha_gmms(
     instance: Instance,
     allocation: Allocation,
     alpha: Fraction,
-    caps: Caps = DEFAULT_CAPS,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> GuaranteeReport:
     """alpha-GMMS: for every nonempty group I and i in I,
     v_i(X_i) >= alpha * mu_i(|I|, union of the group's bundles).
@@ -358,7 +356,7 @@ def is_alpha_gmms(
             pool_mask |= allocation.bundles[j].mask
         pool = Bundle(pool_mask)
         for i in members:
-            share = mms_share(instance, i, len(members), pool, caps)
+            share = mms_share(instance, i, len(members), pool, cap)
             own = instance.value_mask(i, allocation.bundles[i].mask)
             if own < alpha * share:
                 return GuaranteeReport(
@@ -375,23 +373,24 @@ def is_alpha_gmms(
     return GuaranteeReport("alpha_gmms", {"alpha": alpha})
 
 
-# check name -> checker(instance, allocation, level, reference, caps); each
+# check name -> checker(instance, allocation, level, reference, cap); each
 # lambda reads its checker from this module when called, so patches apply
 _CHECKS = {
-    "efx": lambda inst, alloc, level, ref, caps: is_alpha_efx(inst, alloc, level),
-    "ef1": lambda inst, alloc, level, ref, caps: is_ef1(inst, alloc),
-    "mnw": lambda inst, alloc, level, ref, caps: is_beta_mnw(inst, alloc, level, ref),
-    "separated": lambda inst, alloc, level, ref, caps: is_gamma_separated(inst, alloc, level),
-    "mms": lambda inst, alloc, level, ref, caps: is_alpha_mms(inst, alloc, level, caps),
-    "pmms": lambda inst, alloc, level, ref, caps: is_alpha_pmms(inst, alloc, level, caps),
-    "gmms": lambda inst, alloc, level, ref, caps: is_alpha_gmms(inst, alloc, level, caps),
+    "efx": lambda inst, alloc, level, ref, cap: is_alpha_efx(inst, alloc, level),
+    "ef1": lambda inst, alloc, level, ref, cap: is_ef1(inst, alloc),
+    "mnw": lambda inst, alloc, level, ref, cap: is_beta_mnw(inst, alloc, level, ref),
+    "separated": lambda inst, alloc, level, ref, cap: is_gamma_separated(inst, alloc, level),
+    "mms": lambda inst, alloc, level, ref, cap: is_alpha_mms(inst, alloc, level, cap),
+    "pmms": lambda inst, alloc, level, ref, cap: is_alpha_pmms(inst, alloc, level, cap),
+    "gmms": lambda inst, alloc, level, ref, cap: is_alpha_gmms(inst, alloc, level, cap),
 }
 CHECK_NAMES = tuple(_CHECKS)
 
 
 def check(name: str, instance: Instance, allocation: Allocation, level: Fraction | None = None,
-          reference: Fraction | None = None, caps: Caps = DEFAULT_CAPS) -> GuaranteeReport:
+          reference: Fraction | None = None,
+          cap: int = DEFAULT_ENUMERATION_CAP) -> GuaranteeReport:
     """The report of the check `name`, one of CHECK_NAMES, at `level`: alpha
     for efx and the share checks, gamma for separated, beta against the
     `reference` product for mnw; ef1 takes none."""
-    return _CHECKS[name](instance, allocation, level, reference, caps)
+    return _CHECKS[name](instance, allocation, level, reference, cap)

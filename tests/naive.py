@@ -187,26 +187,27 @@ def naive_class_report(instance):
     """First violation of the declared class, as (verdict, agent, s, t, g)
     with s and t masks; ("pass", None, None, None, None) when there is none.
 
-    Assumes complete tables with v(empty set) = 0. Agent by agent: v(S + g)
-    >= v(S) for S ascending, then g ascending; then, when the class is
-    subadditive, v(S u T) <= v(S) + v(T) over the pairs of nonempty disjoint
-    S and T in `itertools.product(range(3), repeat=m)` order, where digit g
-    (item 0 first) is 0 when item g is in neither, 1 in S, 2 in T.
+    Assumes complete tables with v(empty set) = 0. Every agent in turn for
+    v(S + g) >= v(S), S ascending, then g ascending; then, when the class is
+    subadditive, every agent in turn for v(S u T) <= v(S) + v(T) over the
+    pairs of nonempty disjoint S and T in
+    `itertools.product(range(3), repeat=m)` order, where digit g (item 0
+    first) is 0 when item g is in neither, 1 in S, 2 in T.
     """
     m = instance.m
-    for agent in range(instance.n):
-        v = instance.valuations[agent].value_mask
+    values = [val.value_mask for val in instance.valuations]
+    for agent, v in enumerate(values):
         for s in range(1 << m):
             for g in range(m):
                 if not s >> g & 1 and v(s | 1 << g) < v(s):
                     return ("monotonicity", agent, s, None, g)
-        if instance.declared_class != "subadditive":
-            continue
-        for digits in itertools.product(range(3), repeat=m):
-            s = sum(1 << g for g, d in enumerate(digits) if d == 1)
-            t = sum(1 << g for g, d in enumerate(digits) if d == 2)
-            if s and t and v(s | t) > v(s) + v(t):
-                return ("subadditivity", agent, s, t, None)
+    if instance.declared_class == "subadditive":
+        for agent, v in enumerate(values):
+            for digits in itertools.product(range(3), repeat=m):
+                s = sum(1 << g for g, d in enumerate(digits) if d == 1)
+                t = sum(1 << g for g, d in enumerate(digits) if d == 2)
+                if s and t and v(s | t) > v(s) + v(t):
+                    return ("subadditivity", agent, s, t, None)
     return ("pass", None, None, None, None)
 
 

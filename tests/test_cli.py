@@ -182,17 +182,6 @@ def test_check_instance_rejects_missing_file(capsys):
 # ---------------------------------------------------------------------------
 # mnw
 
-def test_mnw_methods_agree(example_path, capsys):
-    code, plain = run_json(capsys, ["mnw", example_path, "--method", "plain"])
-    assert code == 0
-    code, bnb = run_json(
-        capsys, ["mnw", example_path, "--method", "branch-and-bound"]
-    )
-    assert code == 0
-    assert plain == bnb
-    assert plain["product"] == "4"
-
-
 def test_mnw_rejects_a_missing_table_entry(tmp_path, capsys):
     table = {"0": 0, "1": 1, "3": 2}
     doc = {
@@ -203,7 +192,7 @@ def test_mnw_rejects_a_missing_table_entry(tmp_path, capsys):
     }
     path = tmp_path / "missing.json"
     path.write_text(json.dumps(doc))
-    assert cli.main(["mnw", str(path), "--method", "plain"]) == 2
+    assert cli.main(["mnw", str(path)]) == 2
     assert "error" in capsys.readouterr().err
 
 
@@ -613,10 +602,13 @@ BAD_FILES = {
     "far_item": {"bundles": [[0, 1, 2], [100000000000]]},
     "bool_n": {"n": True, "m": 1, "class": "additive", "valuations": [{"additive": [1]}]},
     "bool_m": {"n": 1, "m": True, "class": "additive", "valuations": [{"additive": [1]}]},
+    # JSON text, since json.dumps writes no number literal that reads as inf or nan
+    "overflow": '{"n": 1, "m": 1, "class": "additive", "valuations": [{"additive": [1e400]}]}',
+    "nan": '{"n": 1, "m": 1, "class": "additive", "valuations": [{"additive": [NaN]}]}',
 }
 # each must be refused before the work it asks for: a 2^m table past the
 # table cap, 1 << item for an item past m, an exponent expanded digit by
-# digit, or a bool read as a count
+# digit, a bool read as a count, or a float with no rational value
 BAD_INPUT_CASES = {
     "xos table over the cap": "gen --family xos --n 2 --m 20",
     "budget_additive table over the cap":
@@ -629,8 +621,19 @@ BAD_INPUT_CASES = {
         "solve {example} --alg additive-poly --alpha 1/2 --x0 {far_item}",
     "bool n": "check-instance {bool_n}",
     "bool m": "check-instance {bool_m}",
+    "overflowing float value": "mnw {overflow}",
+    "NaN value": "mnw {nan}",
 }
 CHILD_ADDRESS_SPACE = 1 << 30
+
+
+@pytest.mark.parametrize("literal, shown", [("1e400", "inf"), ("-1e400", "-inf"), ("NaN", "nan")])
+def test_a_json_float_with_no_rational_value_is_malformed(literal, shown, tmp_path, capsys):
+    path = tmp_path / "float.json"
+    doc = '{"n": 1, "m": 1, "class": "additive", "valuations": [{"additive": [VALUE]}]}'
+    path.write_text(doc.replace("VALUE", literal))
+    assert cli.main(["mnw", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: not a rational value: {shown}\n"
 
 
 def limit_child_memory() -> None:
@@ -642,7 +645,7 @@ def test_bad_input_exits_promptly_with_one_error_line(command, example_path, tmp
     paths = {"example": example_path, "out": str(tmp_path / "out.csv")}
     for name, doc in BAD_FILES.items():
         paths[name] = str(tmp_path / f"{name}.json")
-        Path(paths[name]).write_text(json.dumps(doc))
+        Path(paths[name]).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     src = str(Path(fairdiv.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)

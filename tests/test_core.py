@@ -16,14 +16,11 @@ from fairdiv import (
     Allocation,
     Bundle,
     CapacityError,
-    Caps,
-    DEFAULT_CAPS,
     EMPTY_BUNDLE,
     ExplicitValuation,
     Instance,
     IterationBoundError,
     MalformedInstanceError,
-    caps_from_env,
     check_class,
     format_ratio,
     full_mask,
@@ -32,7 +29,7 @@ from fairdiv import (
     nash_product,
     parse_ratio,
 )
-from fairdiv.core import CAP_ENV_VAR, ratio_or_int
+from fairdiv.core import ratio_or_int
 
 import fairdiv
 import naive
@@ -314,13 +311,17 @@ def test_check_class_flags_subadditivity_violation():
 def test_check_class_caps_the_subadditivity_walk():
     table = {mask: mask.bit_count() for mask in range(8)}
     inst = Instance(1, 3, (ExplicitValuation(3, table),), "subadditive")
-    assert check_class(inst, Caps(enumeration=27)).ok
+    assert check_class(inst, 27).ok
     with pytest.raises(CapacityError, match=r"3\^3"):
-        check_class(inst, Caps(enumeration=26))
+        check_class(inst, 26)
     # the cap guards the 3^m walk only: structure and monotonicity come first
     broken = Instance(1, 3, (ExplicitValuation(3, {**table, 0: 1}),), "subadditive")
-    assert check_class(broken, Caps(enumeration=1)).verdict == "malformed"
-    assert check_class(Instance(1, 3, inst.valuations, "monotone"), Caps(enumeration=1)).ok
+    assert check_class(broken, 1).verdict == "malformed"
+    assert check_class(Instance(1, 3, inst.valuations, "monotone"), 1).ok
+    # for every table, so a later agent's dent is found under any cap
+    dented = ExplicitValuation(3, {**table, 0b111: 0})
+    report = check_class(Instance(2, 3, (inst.valuations[0], dented), "subadditive"), 1)
+    assert (report.verdict, report.agent) == ("monotonicity", 1)
 
 
 def random_class_table(rng: random.Random, m: int, kind: str) -> dict[int, Fraction]:
@@ -347,7 +348,7 @@ def random_class_table(rng: random.Random, m: int, kind: str) -> dict[int, Fract
 def test_check_class_matches_the_naive_walk():
     rng = random.Random(2024)
     verdicts = []
-    for _ in range(300):
+    for _ in range(400):
         n, m = rng.randint(1, 3), rng.randint(1, 7)
         tables = [random_class_table(rng, m, rng.choice(("plain", "bump", "bump", "square", "dent")))
                   for _ in range(n)]
@@ -397,20 +398,7 @@ def test_check_class_json_shape():
 
 
 # ---------------------------------------------------------------------------
-# caps and errors
-
-def test_caps_from_env(monkeypatch):
-    monkeypatch.delenv(CAP_ENV_VAR, raising=False)
-    assert caps_from_env() == DEFAULT_CAPS
-    monkeypatch.setenv(CAP_ENV_VAR, "1234")
-    assert caps_from_env() == Caps(enumeration=1234)
-    monkeypatch.setenv(CAP_ENV_VAR, "zero")
-    with pytest.raises(MalformedInstanceError):
-        caps_from_env()
-    monkeypatch.setenv(CAP_ENV_VAR, "0")
-    with pytest.raises(MalformedInstanceError):
-        caps_from_env()
-
+# errors
 
 def test_error_hierarchy():
     for exc in (MalformedInstanceError, CapacityError, IterationBoundError):

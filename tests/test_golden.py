@@ -175,7 +175,7 @@ CHECK_CASES = {
     "xos_2x5 nonzero empty set": (lambda: set_entry(xos(2, 5, clauses=3, seed=9), 1, 0, 1), []),
     "xos_2x5 --cap 243": (INSTANCES["xos_2x5"][1], ["--cap", "243"]),
     "xos_2x5 --cap 242": (INSTANCES["xos_2x5"][1], ["--cap", "242"]),
-    # agent 0's walk meets the cap before agent 1's tables are read
+    # every table's monotonicity sweep runs, uncapped, before the capped walks
     "xos_2x5 non-monotone agent 1 --cap 1": (
         lambda: set_entry(xos(2, 5, clauses=3, seed=9), 1, 0b10110, 0), ["--cap", "1"]),
     "xos_2x5 non-monotone agent 0 --cap 1": (

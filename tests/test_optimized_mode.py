@@ -86,11 +86,10 @@ def test_solve_without_verify_all_under_optimize_matches_golden(golden_solve, tm
     assert got.stdout == _dump(unverified(golden_solve[key]["result"]))
 
 
-@pytest.mark.parametrize("method", ["plain", "auto"])
 @pytest.mark.parametrize("key", CASES[1:3])
-def test_mnw_under_optimize_matches_normal_mode(key, method, golden_solve, tmp_path):
+def test_mnw_under_optimize_matches_normal_mode(key, golden_solve, tmp_path):
     name, _ = solve_cases()[key]
-    argv = ["mnw", str(instance_file(tmp_path, name)), "--method", method]
+    argv = ["mnw", str(instance_file(tmp_path, name))]
     got = run_optimized(["-m", "fairdiv.cli", *argv])
     out = io.StringIO()
     with redirect_stdout(out):

@@ -10,17 +10,19 @@ import pytest
 import naive
 from fairdiv import (
     AdditiveValuation,
+    Bundle,
     CapacityError,
-    Caps,
     GeneratorSpec,
     Instance,
     MalformedInstanceError,
     best_alpha_efx_product,
     certify_impossibility,
+    check_class,
     exact_mnw,
     example1,
     budget_additive,
     generate,
+    mms_share,
     monotone_gap_instance,
     random_additive,
     xos,
@@ -76,14 +78,6 @@ def test_exact_mnw_prefers_more_positive_agents():
     assert res.allocation.masks()[1] == 0b11
 
 
-def test_plain_and_branch_and_bound_agree_exactly():
-    for seed in range(10):
-        inst = random_additive(2 + seed % 2, 4 + seed % 3, 9, seed=1000 + seed)
-        plain = exact_mnw(inst, method="plain")
-        bnb = exact_mnw(inst, method="branch-and-bound")
-        assert plain == bnb  # allocation, product, count, and tie count
-
-
 def fractional_additive(seed: int) -> Instance:
     """Additive values with zeros, each agent drawing from its own denominators."""
     rng = random.Random(seed)
@@ -107,13 +101,19 @@ def assert_matches_naive_mnw(inst, result) -> None:
     assert result.ties == ties
 
 
+def test_pruned_walk_matches_naive_mnw_exactly():
+    for seed in range(10):
+        inst = random_additive(2 + seed % 2, 4 + seed % 3, 9, seed=1000 + seed)
+        assert_matches_naive_mnw(inst, exact_mnw(inst))  # allocation, product, count, ties
+
+
 def test_exact_mnw_matches_naive_mnw_on_fractional_values():
     short = 0
     for seed in range(120):
         inst = fractional_additive(seed)
-        for method in ("plain", "branch-and-bound"):
-            assert_matches_naive_mnw(inst, exact_mnw(inst, method=method))
-        short += exact_mnw(inst).positive_agent_count < inst.n
+        result = exact_mnw(inst)
+        assert_matches_naive_mnw(inst, result)
+        short += result.positive_agent_count < inst.n
     assert short >= 20  # the count < n keys, where per-agent scales would go wrong
 
 
@@ -130,13 +130,12 @@ def test_exact_mnw_compares_partial_products_on_one_scale():
         ),
         "additive",
     )
-    for method in ("plain", "branch-and-bound"):
-        result = exact_mnw(inst, method=method)
-        assert result.positive_agent_count == 2
-        assert result.product == 0
-        assert result.allocation.masks() == (0b01, 0b10, 0)
-        assert result.ties == 2
-        assert_matches_naive_mnw(inst, result)
+    result = exact_mnw(inst)
+    assert result.positive_agent_count == 2
+    assert result.product == 0
+    assert result.allocation.masks() == (0b01, 0b10, 0)
+    assert result.ties == 2
+    assert_matches_naive_mnw(inst, result)
 
 
 def test_exact_mnw_matches_naive_mnw_on_tables():
@@ -156,20 +155,9 @@ def test_exact_mnw_one_agent_gets_every_item():
             xos(1, m, clauses=2, seed=m),
             budget_additive(1, m, cap=4, seed=m),
         ):
-            for method in ("plain", "auto"):
-                result = exact_mnw(inst, method=method)
-                assert result.allocation.masks() == ((1 << m) - 1,)
-                assert_matches_naive_mnw(inst, result)
-
-
-def test_exact_mnw_method_validation():
-    with pytest.raises(ValueError):
-        exact_mnw(example1(), method="guess")
-    with pytest.raises(ValueError):
-        exact_mnw(xos(2, 3, clauses=2, seed=0), method="branch-and-bound")
-    # auto on a table-backed instance falls back to the plain walk
-    inst = xos(2, 4, clauses=2, seed=3)
-    assert exact_mnw(inst) == exact_mnw(inst, method="plain")
+            result = exact_mnw(inst)
+            assert result.allocation.masks() == ((1 << m) - 1,)
+            assert_matches_naive_mnw(inst, result)
 
 
 def test_exact_mnw_enumeration_cap():
@@ -177,7 +165,26 @@ def test_exact_mnw_enumeration_cap():
     with pytest.raises(CapacityError):
         exact_mnw(inst)  # 3^16 states exceed the default cap
     with pytest.raises(CapacityError):
-        exact_mnw(example1(), caps=Caps(enumeration=7))
+        exact_mnw(example1(), 7)
+
+
+# each exhaustive search with its state count on a 2-agent, 3-item instance
+CAPPED_SEARCHES = {
+    "exact_mnw n^m": (lambda cap: exact_mnw(example1(), cap), 2**3),
+    "best_alpha_efx_product (n+1)^m": (
+        lambda cap: best_alpha_efx_product(example1(), Fraction(1), cap), 3**3),
+    "mms_share k^|pool|": (lambda cap: mms_share(example1(), 0, 3, Bundle(0b111), cap), 3**3),
+    "check_class 3^m": (lambda cap: check_class(xos(2, 3, clauses=2, seed=0), cap), 3**3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_SEARCHES))
+def test_each_search_runs_at_a_cap_equal_to_its_states(name):
+    search, states = CAPPED_SEARCHES[name]
+    search(states)
+    with pytest.raises(CapacityError, match=f"needs {states} states, over the enumeration "
+                                            f"cap {states - 1}$"):
+        search(states - 1)
 
 
 def test_best_alpha_efx_product_on_example1():
@@ -200,7 +207,7 @@ def test_best_alpha_efx_validation_and_cap():
     with pytest.raises(ValueError):
         best_alpha_efx_product(example1(), Fraction(2))
     with pytest.raises(CapacityError):
-        best_alpha_efx_product(example1(), Fraction(1), Caps(enumeration=26))
+        best_alpha_efx_product(example1(), Fraction(1), 26)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from fairdiv import (
     Allocation,
     Bundle,
     CapacityError,
-    Caps,
     Instance,
     budget_additive,
     efx_violation,
@@ -162,6 +161,16 @@ def test_empty_bundles_pass_vacuously():
     assert not is_gamma_separated(inst, nothing, Fraction(1)).passed
 
 
+def test_separation_holds_when_gamma_times_own_equals_the_item():
+    inst = example1()  # both agents value (1, 1, 2)
+    allocation = Allocation.from_masks((0b001, 0b100), 3)  # item 1 (worth 1) left over
+    # agent 0: gamma * v_0({0}) = 1 * 1 = v_0({1}), the equality case
+    assert is_gamma_separated(inst, allocation, Fraction(1)).passed
+    assert naive.naive_separated_ok(inst, allocation.masks(), Fraction(1))
+    report = is_gamma_separated(inst, allocation, Fraction(99, 100))
+    assert (report.passed, report.witness["i"], report.witness["item"]) == (False, 0, 1)
+
+
 def test_alpha_validation():
     inst = example1()
     allocation = Allocation.from_masks((0b011, 0b100), 3)
@@ -265,7 +274,7 @@ def test_mms_share_validation_and_caps():
     with pytest.raises(ValueError):
         mms_share(inst, 0, 1, Bundle(1 << 3))
     with pytest.raises(CapacityError):
-        mms_share(inst, 0, 3, Bundle(0b111), Caps(enumeration=8))
+        mms_share(inst, 0, 3, Bundle(0b111), 8)
 
 
 def test_mms_family_on_example1():
@@ -352,4 +361,4 @@ def test_check_runs_the_checker_behind_each_name():
         reference = Fraction(5) if name == "mnw" else None
         assert verify.check(name, instance, allocation, alpha, reference) == report
     with pytest.raises(CapacityError):
-        verify.check("pmms", instance, allocation, alpha, caps=Caps(enumeration=3))
+        verify.check("pmms", instance, allocation, alpha, cap=3)

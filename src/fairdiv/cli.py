@@ -458,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clauses", type=int, default=None)
     p.add_argument("--budget", type=int, default=None,
                    help="value cap for the budget_additive family")
-    add_common(p)
+    p.add_argument("--out", default=None,
+                   help="write the instance to this file instead of stdout")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check-instance", help="validate a declared valuation class")

@@ -41,7 +41,9 @@ def parse_ratio(value: int | str | Fraction) -> Fraction:
     """
     if isinstance(value, bool):
         raise MalformedInstanceError(f"not a rational value: {value!r}")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value  # immutable, so shared rather than copied
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float) and math.isfinite(value):
         # floats in JSON are read as their decimal literal, not their binary value
@@ -170,9 +172,12 @@ def _check_nonnegative(value: Fraction, where: str) -> Fraction:
 
 @dataclass(frozen=True)
 class AdditiveValuation:
-    """v(S) = sum of nonnegative per-item values over S."""
+    """v(S) = sum of nonnegative per-item values over S, summed as ints:
+    item_values[g] == Fraction(nums[g], den), den the lcm of their denominators."""
 
     item_values: tuple[Fraction, ...]
+    den: int = field(init=False, repr=False, compare=False)
+    nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     kind = "additive"
 
@@ -180,19 +185,25 @@ class AdditiveValuation:
         vals = tuple(parse_ratio(v) for v in self.item_values)
         for g, v in enumerate(vals):
             _check_nonnegative(v, f"for item {g}")
+        den = math.lcm(*(v.denominator for v in vals))
         object.__setattr__(self, "item_values", vals)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(v.numerator * (den // v.denominator) for v in vals))
 
     @property
     def m(self) -> int:
         return len(self.item_values)
 
     def value_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        for g in iter_mask(mask):
-            if g >= len(self.item_values):
-                raise ValueError(f"item {g} out of range for m={len(self.item_values)}")
-            total += self.item_values[g]
-        return total
+        nums, m = self.nums, len(self.nums)
+        if high := mask >> m:  # the lowest item out of range is named
+            raise ValueError(f"item {m + (high & -high).bit_length() - 1} out of range for m={m}")
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += nums[low.bit_length() - 1]
+            mask ^= low
+        return Fraction(total, self.den)
 
 
 @dataclass(frozen=True)
@@ -297,17 +308,17 @@ class Instance:
     @cached_property
     def scaled_values(self) -> ScaledValues:
         """All values times the lcm of every value's denominator, over all agents."""
-        raw = [
-            val.item_values if isinstance(val, AdditiveValuation) else val.table.values()
+        scale = math.lcm(*(
+            val.den if isinstance(val, AdditiveValuation)
+            else math.lcm(*{v.denominator for v in val.table.values()})
             for val in self.valuations
-        ]
-        scale = math.lcm(*{v.denominator for values in raw for v in values})
+        ))
 
         def up(v: Fraction) -> int:
             return v.numerator * (scale // v.denominator)
 
         return ScaledValues(scale, tuple(
-            tuple(map(up, val.item_values)) if isinstance(val, AdditiveValuation)
+            tuple(x * (scale // val.den) for x in val.nums) if isinstance(val, AdditiveValuation)
             else tuple(map(up, map(val.table.__getitem__, range(1 << val.m))))
             for val in self.valuations
         ))

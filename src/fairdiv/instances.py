@@ -7,6 +7,7 @@ with an explicit 64-bit seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -87,8 +88,9 @@ def random_additive(n: int, m: int, max_value: int, seed: int) -> Instance:
     if n < 1 or m < 0 or max_value < 0:
         raise ValueError(f"bad parameters n={n}, m={m}, max_value={max_value}")
     rng = random.Random(seed)
+    shared = functools.cache(Fraction)  # one Fraction per distinct drawn value
     valuations = tuple(
-        AdditiveValuation(tuple(Fraction(rng.randint(0, max_value)) for _ in range(m)))
+        AdditiveValuation(tuple(shared(rng.randint(0, max_value)) for _ in range(m)))
         for _ in range(n)
     )
     return Instance(n, m, valuations, "additive")

@@ -1,8 +1,12 @@
 """Independent brute-force checkers used to cross-validate the library.
 
-Everything here is written as a direct transcription of the definitions,
-with no shared code paths with the package: plain loops over items and
-agents, itertools enumeration, exact Fraction arithmetic. Slow on purpose.
+Everything here is written as a direct transcription of the definitions:
+plain loops over items and agents, itertools enumeration, exact Fraction
+arithmetic. Slow on purpose. One code path is shared with the package:
+every bundle value v_i(S) is read through the library's `value_mask`. For
+a table that is a lookup; for an additive agent it is an int sum over the
+agent's own denominator, pinned against its definition (the Fraction sum
+of the item values) by the `value_mask` tests in tests/test_core.py.
 """
 
 from __future__ import annotations
@@ -265,7 +269,8 @@ def chain_cycle_decomposition(matches) -> list[tuple[str, tuple[int, ...]]]:
         seen[start] = True
         while True:
             nxt = succ[seq[-1]]
-            assert nxt is not None
+            if nxt is None:
+                raise ValueError(f"agent {seq[-1]} is on neither a path nor a cycle")
             if nxt == start:
                 break
             seq.append(nxt)

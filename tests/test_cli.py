@@ -117,6 +117,14 @@ def test_gen_rejects_bad_parameters(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_takes_no_cap(capsys):
+    # gen runs no search, so --cap would be an option that does nothing
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["gen", "--family", "example1", "--cap", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # check-instance
 

@@ -45,6 +45,8 @@ def test_parse_ratio_accepts_ints_strings_and_fractions():
     assert parse_ratio("-3/4") == Fraction(-3, 4)
     assert parse_ratio("0.25") == Fraction(1, 4)
     assert parse_ratio(Fraction(2, 6)) == Fraction(1, 3)
+    third = Fraction(1, 3)
+    assert parse_ratio(third) is third  # immutable, so not copied
 
 
 def test_parse_ratio_reads_floats_by_their_printed_form():
@@ -148,6 +150,59 @@ def test_additive_valuation_values():
     assert v.value_mask(0) == 0
     with pytest.raises(ValueError):
         v.value_mask(1 << 3)
+
+
+MIXED_VALUES = (Fraction(1, 2), Fraction(2, 3), Fraction(0), Fraction(5, 7), Fraction(3), Fraction(0))
+
+
+def defined_value(item_values, mask: int) -> Fraction:
+    """v(S) by its definition: the Fraction sum of the item values in S."""
+    items = [g for g in range(len(item_values)) if mask >> g & 1]
+    return sum((item_values[g] for g in items), Fraction(0))
+
+
+def check_value_mask(item_values, mask: int) -> None:
+    got = AdditiveValuation(item_values).value_mask(mask)
+    assert type(got) is Fraction
+    assert got == defined_value(item_values, mask)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_additive_value_mask_is_the_sum_of_item_values_on_every_mask(m):
+    for item_values in (MIXED_VALUES[:m], MIXED_VALUES[::-1][:m], (Fraction(0),) * m):
+        for mask in range(1 << m):
+            check_value_mask(item_values, mask)
+
+
+@given(st.data())
+def test_additive_value_mask_is_the_sum_of_item_values(data):
+    m = data.draw(st.integers(min_value=0, max_value=60))
+    values = st.sampled_from(MIXED_VALUES) | st.fractions(min_value=0, max_value=100, max_denominator=30)
+    item_values = tuple(data.draw(st.lists(values, min_size=m, max_size=m)))
+    # one coin per item, so high items are as likely in the mask as low ones
+    bits = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    mask = data.draw(st.sampled_from((0, (1 << m) - 1, sum(1 << g for g in range(m) if bits[g]))))
+    check_value_mask(item_values, mask)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 6])
+def test_additive_value_mask_names_the_lowest_item_out_of_range(m):
+    v = AdditiveValuation(MIXED_VALUES[:m])
+    for mask in (1 << m, (1 << m) | 1, (0b101 << m) | 1):
+        with pytest.raises(ValueError) as err:
+            v.value_mask(mask)
+        assert str(err.value) == f"item {m} out of range for m={m}"
+
+
+def test_additive_valuation_int_form_leaves_equality_hash_and_repr_alone():
+    parsed = AdditiveValuation(("1/2", 2))
+    given_fractions = AdditiveValuation((Fraction(1, 2), Fraction(2)))
+    assert parsed == given_fractions
+    assert hash(parsed) == hash(given_fractions)
+    assert repr(parsed) == repr(given_fractions) == (
+        "AdditiveValuation(item_values=(Fraction(1, 2), Fraction(2, 1)))"
+    )
+    assert (parsed.den, parsed.nums) == (2, (1, 4))
 
 
 def test_additive_valuation_rejects_negative_values():

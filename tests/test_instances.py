@@ -121,12 +121,15 @@ def test_budget_additive_caps_the_sum():
 
 
 # sha256 of the sort_keys JSON of instance_to_dict over each grid below, in
-# grid order; pins the tables and the rng draw order of both table families
+# grid order; pins the values and the rng draw order of the three random families
 XOS_GRID = [(n, m, clauses, seed) for n in (1, 2, 3) for m in (0, 1, 4, 7)
             for clauses in (1, 3) for seed in (0, 5, 11)]
 BUDGET_GRID = [(n, m, cap, seed) for n in (1, 2, 3) for m in (0, 1, 4, 7)
                for cap in (0, 7, 25) for seed in (0, 5, 11)]
+RANDOM_ADDITIVE_GRID = [(n, m, max_value, seed) for n in (1, 2, 3) for m in (0, 1, 4, 7)
+                        for max_value in (0, 10, 100) for seed in (0, 5, 11)]
 GENERATOR_DIGESTS = {
+    "random_additive": "b041919f72ba97cb91a4efbc7b5cbb987e81332ddf9fba3b0f5a28c638c415ba",
     "xos": "cf86ba14b77342cee7ede0c94470d178d4bd4926f0f11807a5d52fc1ee492dcf",
     "budget_additive": "1b1d838f965abc92204a7e9c7084206bd2f5e87f3ca9b25bfdf705263ab5e8b7",
 }
@@ -140,10 +143,19 @@ def generator_digest(factory, grid) -> str:
 
 
 @pytest.mark.parametrize(
-    "factory, grid", [(xos, XOS_GRID), (budget_additive, BUDGET_GRID)], ids=["xos", "budget_additive"]
+    "factory, grid",
+    [(random_additive, RANDOM_ADDITIVE_GRID), (xos, XOS_GRID), (budget_additive, BUDGET_GRID)],
+    ids=["random_additive", "xos", "budget_additive"],
 )
 def test_table_generators_match_pinned_digest(factory, grid):
     assert generator_digest(factory, grid) == GENERATOR_DIGESTS[factory.__name__]
+
+
+@pytest.mark.parametrize("max_value", [0, 1, 10])
+def test_random_additive_shares_one_fraction_per_drawn_value(max_value):
+    inst = random_additive(4, 12, max_value, seed=2)
+    values = [v for val in inst.valuations for v in val.item_values]
+    assert len({id(v) for v in values}) == len(set(values)) <= max_value + 1
 
 
 def test_generator_parameter_validation():
